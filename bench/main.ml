@@ -519,19 +519,15 @@ let ablations () =
   Printf.printf "  %-16s %8s %10s %14s %14s\n" "scheme" "area" "randoms" "1st-ord |t|" "2nd-ord |t|";
   let report_masked name shares =
     let masked = Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-    let collect cls =
-      let a, b =
-        match cls with
-        | `Fixed -> true, true
-        | `Random -> Rng.bool rng, Rng.bool rng
-      in
-      [| Sidechannel.Leakage.hw_sample rng masked ~noise_sigma:0.1 ~a ~b |]
+    let collect stream cls =
+      let a, b = Sidechannel.Leakage.secrets stream cls in
+      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
     in
-    let o1, o2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:6000 ~collect in
+    let r = Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:6000 ~collect in
     Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" name
       (Circuit.stats masked.Sidechannel.Isw.circuit).Circuit.area
       (Array.length masked.Sidechannel.Isw.random_inputs)
-      o1.Sidechannel.Tvla.max_abs_t o2.Sidechannel.Tvla.max_abs_t
+      r.Sidechannel.Tvla.max_abs_t r.Sidechannel.Tvla.max_abs_t2
   in
   report_masked "ISW 2 shares" 2;
   report_masked "ISW 3 shares" 3;
@@ -545,18 +541,14 @@ let ablations () =
         cost.Sidechannel.Dom.latency)
     [ 2; 3 ];
   let dual = Sidechannel.Wddl.transform (Sidechannel.Leakage.private_and_source ()) in
-  let collect cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
-    in
-    [| Sidechannel.Wddl.power_sample rng dual ~noise_sigma:0.1 ~values:[ ("a", a); ("b", b) ] |]
+  let collect stream cls =
+    let a, b = Sidechannel.Leakage.secrets stream cls in
+    [| Sidechannel.Wddl.power_sample stream dual ~noise_sigma:0.1 ~values:[ ("a", a); ("b", b) ] |]
   in
-  let w1, w2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:6000 ~collect in
+  let w = Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:6000 ~collect in
   Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" "WDDL"
     (Circuit.stats dual.Sidechannel.Wddl.circuit).Circuit.area 0
-    w1.Sidechannel.Tvla.max_abs_t w2.Sidechannel.Tvla.max_abs_t;
+    w.Sidechannel.Tvla.max_abs_t w.Sidechannel.Tvla.max_abs_t2;
   Printf.printf
     "  -> 2-share masking fails at 2nd order; WDDL needs no randomness and\n\
      \     is constant-activity at any order, at ~2x area and half speed.\n";

@@ -476,9 +476,9 @@ let tvla_fig2_cmd =
     let ra, ru =
       with_trace trace (fun () ->
           with_jobs jobs (fun pool ->
-              ( L.tvla_campaign_seeded ?pool rng aware ~traces_per_class:traces
+              ( L.tvla_campaign ?pool rng aware ~traces_per_class:traces
                   ~noise_sigma:0.3,
-                L.tvla_campaign_seeded ?pool rng unaware ~traces_per_class:traces
+                L.tvla_campaign ?pool rng unaware ~traces_per_class:traces
                   ~noise_sigma:0.3 )))
     in
     Printf.printf "security-aware  : max|t| = %.2f (%s)\n" ra.Sidechannel.Tvla.max_abs_t

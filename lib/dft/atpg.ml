@@ -309,6 +309,15 @@ let run_core ~exec ?budget ?faults circuit =
              | Pattern _ | Untestable | Abstained _ -> ()
            end);
         incr i
+      done;
+      (* Lanes past the exhaustion point still ran their queries: their
+         solver work belongs in the report even though their outcomes
+         are discarded and the spent budget is not charged again. *)
+      for j = !i to Array.length wave - 1 do
+        Option.iter
+          (fun (_, per_query) ->
+            List.iter (fun s -> st.totals <- merge_stats st.totals s) per_query)
+          results.(j)
       done
   done;
   finish_report st ~total
@@ -415,13 +424,6 @@ let run_checked ?budget ?pool ?chunk ?faults circuit =
   let open Eda_util.Eda_error in
   let* _ = Netlist.Lint.validate circuit in
   guard ~engine:"atpg" (fun () -> run ?budget ?pool ?chunk ?faults circuit)
-
-(** @deprecated Alias of {!run} (the unified entry point). *)
-let run_report ?budget circuit = run ?budget circuit
-
-(** @deprecated [run] minus the campaign span; alias kept for callers
-    that managed their own span. *)
-let run_report_traced ?budget circuit = run_seq ?budget circuit
 
 (* A copy of [circuit] with [fault] frozen in: the fault site is shadowed
    downstream by a constant carrying the stuck value. Used by redundancy

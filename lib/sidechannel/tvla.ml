@@ -7,9 +7,12 @@
     one with *random* secrets — under otherwise identical conditions. For
     each time sample, Welch's t statistic is computed; |t| above the
     conventional 4.5 threshold flags first-order leakage with high
-    confidence. *)
+    confidence. The same pass also yields the second-order (univariate,
+    per-class-centred) t, which exposes leakage in the variance — the
+    assessment that breaks 2-share masking while first order passes it. *)
 
 module Stats = Eda_util.Stats
+module T = Eda_util.Telemetry
 
 let threshold = 4.5
 
@@ -18,127 +21,34 @@ type result = {
   max_abs_t : float;
   leaky_samples : int list;  (* sample indices with |t| > threshold *)
   traces_per_class : int;
+  t2_per_sample : float array;  (* second-order t *)
+  max_abs_t2 : float;
 }
-
-(** Per-sample Welch t over two trace populations (arrays of equal-length
-    traces). *)
-let t_test fixed_traces random_traces =
-  match fixed_traces, random_traces with
-  | [], _ | _, [] -> invalid_arg "Tvla.t_test: empty population"
-  | f0 :: _, _ ->
-    let samples = Array.length f0 in
-    (* Column buffers are allocated once and refilled per sample — the
-       values and their order fed to [Stats.welch_t] are identical to a
-       per-sample [Array.of_list], without the per-sample allocation. *)
-    let fixed = Array.of_list fixed_traces and random = Array.of_list random_traces in
-    let col_f = Array.make (Array.length fixed) 0.0 in
-    let col_r = Array.make (Array.length random) 0.0 in
-    let t_per_sample =
-      Array.init samples (fun k ->
-          for j = 0 to Array.length fixed - 1 do col_f.(j) <- fixed.(j).(k) done;
-          for j = 0 to Array.length random - 1 do col_r.(j) <- random.(j).(k) done;
-          Stats.welch_t col_f col_r)
-    in
-    let leaky =
-      List.filter
-        (fun k -> Float.abs t_per_sample.(k) > threshold)
-        (List.init samples (fun k -> k))
-    in
-    { t_per_sample;
-      max_abs_t = Stats.max_abs t_per_sample;
-      leaky_samples = leaky;
-      traces_per_class = min (List.length fixed_traces) (List.length random_traces) }
 
 let leaks result = result.max_abs_t > threshold
 
-(** Second-order (univariate) TVLA: each trace is centered by the pooled
-    per-sample mean and squared before the Welch t-test, exposing leakage
-    in the *variance* of the power consumption. This is the standard
-    assessment that breaks 2-share masking while first-order TVLA passes
-    it — the masking-order story behind the paper's Sec. IV step-function
-    argument. *)
-let t_test_second_order fixed_traces random_traces =
-  match fixed_traces, random_traces with
-  | [], _ | _, [] -> invalid_arg "Tvla.t_test_second_order: empty population"
-  | f0 :: _, _ ->
-    let samples = Array.length f0 in
-    let all = Array.of_list (fixed_traces @ random_traces) in
-    let col = Array.make (Array.length all) 0.0 in
-    let pooled_mean =
-      Array.init samples (fun k ->
-          for j = 0 to Array.length all - 1 do col.(j) <- all.(j).(k) done;
-          Eda_util.Stats.mean col)
-    in
-    let preprocess tr =
-      Array.init samples (fun k ->
-          let d = tr.(k) -. pooled_mean.(k) in
-          d *. d)
-    in
-    t_test (List.map preprocess fixed_traces) (List.map preprocess random_traces)
+let leaks_second_order result = result.max_abs_t2 > threshold
 
-module T = Eda_util.Telemetry
-
-(** Fixed-vs-random campaign assessed at first and second order.
-
-    Telemetry: a [tvla.campaign_orders] span counting [tvla.traces]
-    consumed, with [tvla.max_abs_t] / [tvla.max_abs_t_2nd] gauges for the
-    two assessment orders. *)
-let campaign_orders ~traces_per_class ~collect =
-  T.with_span "tvla.campaign_orders"
-    ~attrs:[ ("traces_per_class", T.Int traces_per_class) ]
-  @@ fun () ->
-  let fixed = ref [] and random = ref [] in
-  for _ = 1 to traces_per_class do
-    fixed := collect `Fixed :: !fixed;
-    random := collect `Random :: !random;
-    T.count "tvla.traces" 2
-  done;
-  let first = t_test !fixed !random in
-  let second = t_test_second_order !fixed !random in
-  T.gauge "tvla.max_abs_t" first.max_abs_t;
-  T.gauge "tvla.max_abs_t_2nd" second.max_abs_t;
-  first, second
-
-(** Full fixed-vs-random campaign: [collect cls] must produce one trace for
-    class [cls] ([`Fixed] or [`Random]), drawing its own randomness.
-    Classes are interleaved to avoid drift artifacts, as the TVLA procedure
-    prescribes.
-
-    Telemetry: a [tvla.campaign] span counting [tvla.traces] consumed and
-    gauging the final [tvla.max_abs_t]. *)
-let campaign ~traces_per_class ~collect =
-  T.with_span "tvla.campaign" ~attrs:[ ("traces_per_class", T.Int traces_per_class) ]
-  @@ fun () ->
-  let fixed = ref [] and random = ref [] in
-  for _ = 1 to traces_per_class do
-    fixed := collect `Fixed :: !fixed;
-    random := collect `Random :: !random;
-    T.count "tvla.traces" 2
-  done;
-  let result = t_test !fixed !random in
-  T.gauge "tvla.max_abs_t" result.max_abs_t;
-  result
-
-(* Pairs per batch of the seeded campaign. Fixed (not derived from the
-   pool size) so the batch boundaries — and with them the moment-merge
-   order — are identical at any domain count. *)
+(* Pairs per batch. Fixed (not derived from the pool size) so the batch
+   boundaries — and with them the moment-merge order — are identical at
+   any domain count. *)
 let batch_pairs = 32
 
-(** Seeded, batchable fixed-vs-random campaign, the parallel counterpart
-    of {!campaign}: [collect stream cls] must produce one trace for class
-    [cls] drawing randomness only from [stream]. Pair [i] (one fixed then
-    one random trace, interleaved as TVLA prescribes) uses stream [i] of
-    [Rng.split rng traces_per_class]; traces accumulate into per-sample
-    Welford moments per fixed-size batch, and batches merge in index
-    order (Chan's formula). Both the trace values and the floating-point
-    reduction tree are therefore functions of [rng] alone: the result is
-    bit-identical with no pool, and with a pool of any domain count.
-    Streaming moments also mean memory stays O(samples), not O(traces).
+(** Seeded, batchable fixed-vs-random campaign: [collect stream cls] must
+    produce one trace for class [cls] drawing randomness only from
+    [stream]. Pair [i] (one fixed then one random trace, interleaved as
+    TVLA prescribes) uses stream [i] of [Rng.split rng traces_per_class];
+    traces accumulate into per-sample moments (up to the fourth) per
+    fixed-size batch, and batches merge in index order. Both the trace
+    values and the floating-point reduction tree are therefore functions
+    of [rng] alone: the result is bit-identical with no pool, and with a
+    pool of any domain count. Streaming moments also mean memory stays
+    O(samples), not O(traces).
 
     Telemetry: a [tvla.campaign] span (attrs [seeded], [domains])
-    counting [tvla.traces] and gauging the final [tvla.max_abs_t];
-    pooled runs (any size, including 1) nest a [pool.batch] span with
-    one captured [pool.task] span per Welford batch.
+    counting [tvla.traces] and gauging the final [tvla.max_abs_t] and
+    [tvla.max_abs_t_2nd]; pooled runs (any size, including 1) nest a
+    [pool.batch] span with one captured [pool.task] span per batch.
     @raise Invalid_argument on a non-positive trace count or unequal
     trace lengths. *)
 let campaign_seeded ?pool rng ~traces_per_class ~collect =
@@ -200,6 +110,7 @@ let campaign_seeded ?pool rng ~traces_per_class ~collect =
   | Some (mf, mr) ->
     let samples = Array.length mf in
     let t_per_sample = Array.init samples (fun k -> Stats.welch_t_moments mf.(k) mr.(k)) in
+    let t2_per_sample = Array.init samples (fun k -> Stats.welch_t2_moments mf.(k) mr.(k)) in
     let leaky =
       List.filter
         (fun k -> Float.abs t_per_sample.(k) > threshold)
@@ -209,32 +120,11 @@ let campaign_seeded ?pool rng ~traces_per_class ~collect =
       { t_per_sample;
         max_abs_t = Stats.max_abs t_per_sample;
         leaky_samples = leaky;
-        traces_per_class }
+        traces_per_class;
+        t2_per_sample;
+        max_abs_t2 = Stats.max_abs t2_per_sample }
     in
     T.count "tvla.traces" (2 * traces_per_class);
     T.gauge "tvla.max_abs_t" result.max_abs_t;
+    T.gauge "tvla.max_abs_t_2nd" result.max_abs_t2;
     result
-
-(** Sweep of max |t| as the trace count grows; the paper-shaped "leakage
-    grows with sqrt(n)" series. [steps] are cumulative trace counts.
-
-    Telemetry: a [tvla.escalation] span; each step gauges [tvla.max_abs_t]
-    so the exported trace carries the |t| trajectory, not just the final
-    value. *)
-let escalation ~steps ~collect =
-  T.with_span "tvla.escalation" ~attrs:[ ("steps", T.Int (List.length steps)) ]
-  @@ fun () ->
-  let fixed = ref [] and random = ref [] in
-  let collected = ref 0 in
-  List.map
-    (fun target ->
-      while !collected < target do
-        fixed := collect `Fixed :: !fixed;
-        random := collect `Random :: !random;
-        incr collected;
-        T.count "tvla.traces" 2
-      done;
-      let max_abs_t = (t_test !fixed !random).max_abs_t in
-      T.gauge "tvla.max_abs_t" max_abs_t;
-      target, max_abs_t)
-    steps

@@ -1,5 +1,6 @@
 (** Test vector leakage assessment (TVLA [16]): the fixed-vs-random
-    Welch t-test on power traces, at first and second statistical order. *)
+    Welch t-test on power traces, at first and second statistical order,
+    from one streaming campaign. *)
 
 (** The conventional |t| pass/fail line (4.5). *)
 val threshold : float
@@ -7,35 +8,35 @@ val threshold : float
 type result = {
   t_per_sample : float array;
   max_abs_t : float;
-  leaky_samples : int list;  (** sample indices with |t| > threshold *)
+  leaky_samples : int list;  (** sample indices with first-order |t| > threshold *)
   traces_per_class : int;
+  t2_per_sample : float array;
+      (** second-order t: each class centred on its own mean, then squared *)
+  max_abs_t2 : float;
 }
 
-(** Per-sample Welch t over two equal-length trace populations.
-    @raise Invalid_argument on an empty population. *)
-val t_test : float array list -> float array list -> result
-
-(** True when any sample crosses the threshold. *)
+(** True when any sample's first-order |t| crosses the threshold. *)
 val leaks : result -> bool
 
-(** Second-order (univariate) variant: traces are centered by the pooled
-    per-sample mean and squared before the t-test, exposing leakage in
-    the variance — the assessment that breaks 2-share masking. *)
-val t_test_second_order : float array list -> float array list -> result
+(** True when any sample's second-order |t| crosses the threshold — the
+    verdict that breaks 2-share masking. *)
+val leaks_second_order : result -> bool
 
-(** Fixed-vs-random campaign: [collect cls] must produce one trace for
-    class [`Fixed] or [`Random], drawing its own randomness. Classes are
-    interleaved, as the TVLA procedure prescribes. *)
-val campaign :
-  traces_per_class:int -> collect:([ `Fixed | `Random ] -> float array) -> result
+(** The fixed-vs-random campaign. [collect stream cls] must produce one
+    trace for class [`Fixed] or [`Random], drawing randomness only from
+    [stream]; pair [i] (fixed then random, interleaved as the TVLA
+    procedure prescribes) uses stream [i] of
+    [Eda_util.Rng.split rng traces_per_class]. Traces accumulate into
+    per-sample moments up to the fourth (Pébay's one-pass update) in
+    fixed-size batches merged in index order, so the result — every
+    first- and second-order t value, not just the verdict — is
+    bit-identical with no pool and with a pool of any domain count, and
+    memory stays O(samples).
 
-(** Seeded, batchable campaign — the parallel counterpart of {!campaign}.
-    [collect stream cls] must draw randomness only from [stream]; pair
-    [i] uses stream [i] of [Eda_util.Rng.split rng traces_per_class].
-    Traces accumulate into per-sample Welford moments in fixed-size
-    batches merged in index order, so the result (every t value, not
-    just the verdict) is bit-identical with no pool and with a pool of
-    any domain count, and memory stays O(samples).
+    Because [Rng.split] hands out streams in order, the campaign at [n]
+    traces per class sees exactly the first [n] pairs of the campaign at
+    [m > n] on the same [rng]: a |t|-versus-traces escalation is a series
+    of such prefix campaigns.
     @raise Invalid_argument on a non-positive trace count or unequal
     trace lengths. *)
 val campaign_seeded :
@@ -44,14 +45,3 @@ val campaign_seeded :
   traces_per_class:int ->
   collect:(Eda_util.Rng.t -> [ `Fixed | `Random ] -> float array) ->
   result
-
-(** Campaign assessed at (first, second) order from one trace set. *)
-val campaign_orders :
-  traces_per_class:int ->
-  collect:([ `Fixed | `Random ] -> float array) ->
-  result * result
-
-(** Max |t| as the trace count grows through [steps] (cumulative counts):
-    the "leakage grows with sqrt n" series. *)
-val escalation :
-  steps:int list -> collect:([ `Fixed | `Random ] -> float array) -> (int * float) list

@@ -6,17 +6,37 @@ type moments = {
   mutable n : int;
   mutable mean : float;
   mutable m2 : float;  (* sum of squared deviations, Welford *)
+  mutable m3 : float;  (* sum of cubed deviations *)
+  mutable m4 : float;  (* sum of fourth-power deviations *)
   mutable vmin : float;  (* smallest observation; +inf while empty *)
   mutable vmax : float;  (* largest observation; -inf while empty *)
 }
 
 let moments_create () =
-  { n = 0; mean = 0.0; m2 = 0.0; vmin = Float.infinity; vmax = Float.neg_infinity }
+  { n = 0; mean = 0.0; m2 = 0.0; m3 = 0.0; m4 = 0.0; vmin = Float.infinity;
+    vmax = Float.neg_infinity }
 
+(** One-pass update of all four central sums (Pébay, "Formulas for robust,
+    one-pass parallel computation of covariances and arbitrary-order
+    statistical moments", Sandia 2008). [m4] and [m3] read the old [m2]
+    and [m3], so they update first; [mean] and [m2] use exactly Welford's
+    operations, which keeps first-order statistics bit-identical to a
+    two-moment accumulator. *)
 let moments_add m x =
+  let n1 = Float.of_int m.n in
   m.n <- m.n + 1;
+  let fn = Float.of_int m.n in
   let delta = x -. m.mean in
-  m.mean <- m.mean +. (delta /. Float.of_int m.n);
+  let delta_n = delta /. fn in
+  let delta_n2 = delta_n *. delta_n in
+  let term1 = delta *. delta_n *. n1 in
+  m.m4 <-
+    m.m4
+    +. (term1 *. delta_n2 *. ((fn *. fn) -. (3.0 *. fn) +. 3.0))
+    +. (6.0 *. delta_n2 *. m.m2)
+    -. (4.0 *. delta_n *. m.m3);
+  m.m3 <- m.m3 +. (term1 *. delta_n *. (fn -. 2.0)) -. (3.0 *. delta_n *. m.m2);
+  m.mean <- m.mean +. delta_n;
   m.m2 <- m.m2 +. (delta *. (x -. m.mean));
   if x < m.vmin then m.vmin <- x;
   if x > m.vmax then m.vmax <- x
@@ -25,20 +45,32 @@ let moments_mean m = m.mean
 
 let moments_variance m = if m.n < 2 then 0.0 else m.m2 /. Float.of_int (m.n - 1)
 
-(** Merge two Welford accumulators into a fresh one (Chan et al.'s
-    pairwise update). Merging partial accumulators in a fixed order gives
-    the same moments regardless of how the underlying samples were
-    batched, which is what makes parallel TVLA reductions deterministic. *)
+(** Merge two accumulators into a fresh one (Chan et al.'s pairwise update
+    for [mean]/[m2], Pébay's for [m3]/[m4]). Merging partial accumulators
+    in a fixed order gives the same moments regardless of how the
+    underlying samples were batched, which is what makes parallel TVLA
+    reductions deterministic. *)
 let moments_merge a b =
-  if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2; vmin = b.vmin; vmax = b.vmax }
-  else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2; vmin = a.vmin; vmax = a.vmax }
+  if a.n = 0 then { b with n = b.n }
+  else if b.n = 0 then { a with n = a.n }
   else begin
     let n = a.n + b.n in
     let fa = Float.of_int a.n and fb = Float.of_int b.n and fn = Float.of_int n in
     let delta = b.mean -. a.mean in
+    let delta2 = delta *. delta in
     { n;
       mean = a.mean +. (delta *. fb /. fn);
       m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn);
+      m3 =
+        a.m3 +. b.m3
+        +. (delta2 *. delta *. fa *. fb *. (fa -. fb) /. (fn *. fn))
+        +. (3.0 *. delta *. ((fa *. b.m2) -. (fb *. a.m2)) /. fn);
+      m4 =
+        a.m4 +. b.m4
+        +. (delta2 *. delta2 *. fa *. fb *. ((fa *. fa) -. (fa *. fb) +. (fb *. fb))
+            /. (fn *. fn *. fn))
+        +. (6.0 *. delta2 *. ((fa *. fa *. b.m2) +. (fb *. fb *. a.m2)) /. (fn *. fn))
+        +. (4.0 *. delta *. ((fa *. b.m3) -. (fb *. a.m3)) /. fn);
       vmin = Float.min a.vmin b.vmin;
       vmax = Float.max a.vmax b.vmax }
   end
@@ -80,6 +112,26 @@ let welch_t_moments ma mb =
     let vb = moments_variance mb /. Float.of_int mb.n in
     let denom = sqrt (va +. vb) in
     if denom <= 0.0 then 0.0 else (ma.mean -. mb.mean) /. denom
+  end
+
+(** Second-order (univariate) Welch t from two moment accumulators, with
+    each class centred on its own mean (Schneider & Moradi, "Leakage
+    Assessment Methodology", CHES 2015). The centred square (x - mean)^2
+    has class mean [m2/n] and class variance [m4/n - (m2/n)^2], so the
+    statistic needs no second pass over the traces. Returns 0 when either
+    side is degenerate. *)
+let welch_t2_moments ma mb =
+  if ma.n < 2 || mb.n < 2 then 0.0
+  else begin
+    let centred m =
+      let fn = Float.of_int m.n in
+      let mu = m.m2 /. fn in
+      (mu, ((m.m4 /. fn) -. (mu *. mu)) /. fn)
+    in
+    let mua, va = centred ma and mub, vb = centred mb in
+    let denom = sqrt (va +. vb) in
+    (* [not (>)] also rejects the NaN of a rounding-negative variance *)
+    if not (denom > 0.0) then 0.0 else (mua -. mub) /. denom
   end
 
 (** Welch-Satterthwaite degrees of freedom, for completeness of reporting. *)

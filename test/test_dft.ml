@@ -118,6 +118,27 @@ let test_atpg_finds_untestable () =
    | Dft.Atpg.Pattern _ | Dft.Atpg.Abstained _ ->
      Alcotest.fail "redundant fault must be untestable")
 
+(* A step-budgeted run that runs out mid-wave: the lanes after the
+   exhaustion point already solved their queries, so their conflicts
+   must be in the report, not only in the trace. *)
+let test_atpg_budgeted_report_counts_every_conflict () =
+  let module T = Eda_util.Telemetry in
+  let c = Netlist.Bench_gen.sized ~seed:2020 Netlist.Bench_gen.Layered ~target_gates:500 in
+  let sink, events = T.memory_sink () in
+  let r =
+    T.with_sink sink (fun () -> Dft.Atpg.run ~budget:(Eda_util.Budget.create ~steps:1000 ()) c)
+  in
+  let traced =
+    List.fold_left
+      (fun acc e ->
+        if e.T.kind = T.Count && e.T.name = "sat.conflicts" then acc + Float.to_int e.T.value
+        else acc)
+      0 (events ())
+  in
+  Alcotest.(check bool) "budget exhausted" true (r.Dft.Atpg.exhausted <> None);
+  Alcotest.(check int) "reported = traced conflicts" traced
+    r.Dft.Atpg.solver_stats.Sat.Solver.conflicts
+
 let test_lfsr_maximal_period () =
   Alcotest.(check int) "8-bit lfsr period" 255 (Dft.Bist.period ~width:8 ~seed:1);
   Alcotest.(check int) "16-bit lfsr period" 65535 (Dft.Bist.period ~width:16 ~seed:1)
@@ -170,7 +191,9 @@ let () =
       ("atpg",
        [ Alcotest.test_case "per-fault patterns" `Quick test_atpg_pattern_detects_target;
          Alcotest.test_case "full run" `Quick test_atpg_full_run;
-         Alcotest.test_case "untestable found" `Quick test_atpg_finds_untestable ]);
+         Alcotest.test_case "untestable found" `Quick test_atpg_finds_untestable;
+         Alcotest.test_case "budgeted report counts every conflict" `Quick
+           test_atpg_budgeted_report_counts_every_conflict ]);
       ("bist",
        [ Alcotest.test_case "lfsr period" `Quick test_lfsr_maximal_period;
          Alcotest.test_case "signature deterministic" `Quick test_bist_signature_deterministic;

@@ -67,32 +67,27 @@ let test_second_order_masking_story () =
     let masked =
       Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ())
     in
-    let collect cls =
-      let a, b =
-        match cls with
-        | `Fixed -> true, true
-        | `Random -> Rng.bool rng, Rng.bool rng
-      in
-      [| Sidechannel.Leakage.hw_sample rng masked ~noise_sigma:0.1 ~a ~b |]
+    let collect stream cls =
+      let a, b = Sidechannel.Leakage.secrets stream cls in
+      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
     in
-    Sidechannel.Tvla.campaign_orders ~traces_per_class:6000 ~collect
+    Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:6000 ~collect
   in
-  let o1_2, o2_2 = assess 2 in
-  let o1_3, o2_3 = assess 3 in
-  Alcotest.(check bool) "2 shares pass 1st order" false (Sidechannel.Tvla.leaks o1_2);
-  Alcotest.(check bool) "2 shares FAIL 2nd order" true (Sidechannel.Tvla.leaks o2_2);
-  Alcotest.(check bool) "3 shares pass 1st order" false (Sidechannel.Tvla.leaks o1_3);
-  Alcotest.(check bool) "3 shares pass 2nd order" false (Sidechannel.Tvla.leaks o2_3)
+  let r2 = assess 2 in
+  let r3 = assess 3 in
+  Alcotest.(check bool) "2 shares pass 1st order" false (Sidechannel.Tvla.leaks r2);
+  Alcotest.(check bool) "2 shares FAIL 2nd order" true (Sidechannel.Tvla.leaks_second_order r2);
+  Alcotest.(check bool) "3 shares pass 1st order" false (Sidechannel.Tvla.leaks r3);
+  Alcotest.(check bool) "3 shares pass 2nd order" false (Sidechannel.Tvla.leaks_second_order r3)
 
 let test_second_order_detects_variance_shift () =
-  let rng = Rng.create 3 in
-  let collect = function
-    | `Fixed -> [| Rng.gaussian_scaled rng ~mean:0.0 ~sigma:2.0 |]
-    | `Random -> [| Rng.gaussian rng |]
+  let collect stream = function
+    | `Fixed -> [| Rng.gaussian_scaled stream ~mean:0.0 ~sigma:2.0 |]
+    | `Random -> [| Rng.gaussian stream |]
   in
-  let o1, o2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:2000 ~collect in
-  Alcotest.(check bool) "1st order blind to variance" false (Sidechannel.Tvla.leaks o1);
-  Alcotest.(check bool) "2nd order sees variance" true (Sidechannel.Tvla.leaks o2)
+  let r = Sidechannel.Tvla.campaign_seeded (Rng.create 3) ~traces_per_class:2000 ~collect in
+  Alcotest.(check bool) "1st order blind to variance" false (Sidechannel.Tvla.leaks r);
+  Alcotest.(check bool) "2nd order sees variance" true (Sidechannel.Tvla.leaks_second_order r)
 
 (* --- unrolling & two-safety ------------------------------------------- *)
 

@@ -177,13 +177,15 @@ let test_atpg_partial_under_pooled_budget () =
 let test_tvla_identical_across_domains () =
   let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
   let campaign pool =
-    Sidechannel.Leakage.tvla_campaign_seeded ?pool (Rng.create 515) masked
+    Sidechannel.Leakage.tvla_campaign ?pool (Rng.create 515) masked
       ~traces_per_class:300 ~noise_sigma:0.3
   in
   (* Leak detection itself is covered by the sidechannel suite; here the
      subject is determinism, so 300 traces per class is plenty. *)
   let seq = campaign None in
   Alcotest.(check bool) "t statistic is meaningful" true (seq.Sidechannel.Tvla.max_abs_t > 0.0);
+  Alcotest.(check bool) "second-order t is meaningful" true
+    (seq.Sidechannel.Tvla.max_abs_t2 > 0.0);
   List.iter
     (fun d ->
       Pool.with_pool ~num_domains:d (fun p ->
@@ -193,7 +195,9 @@ let test_tvla_identical_across_domains () =
             true
             (r.Sidechannel.Tvla.t_per_sample = seq.Sidechannel.Tvla.t_per_sample
              && Float.equal r.Sidechannel.Tvla.max_abs_t seq.Sidechannel.Tvla.max_abs_t
-             && r.Sidechannel.Tvla.leaky_samples = seq.Sidechannel.Tvla.leaky_samples)))
+             && r.Sidechannel.Tvla.leaky_samples = seq.Sidechannel.Tvla.leaky_samples
+             && r.Sidechannel.Tvla.t2_per_sample = seq.Sidechannel.Tvla.t2_per_sample
+             && Float.equal r.Sidechannel.Tvla.max_abs_t2 seq.Sidechannel.Tvla.max_abs_t2)))
     pool_sizes
 
 let test_placement_multistart_identical_across_domains () =

@@ -67,30 +67,33 @@ let test_randomness_count () =
   Alcotest.(check int) "6 randoms at 4 shares" 6 (Array.length masked4.Isw.random_inputs)
 
 let test_tvla_no_leak_on_identical () =
-  let rng = Rng.create 5 in
-  let collect _cls = [| Rng.gaussian rng |] in
-  let r = Tvla.campaign ~traces_per_class:500 ~collect in
+  let collect stream _cls = [| Rng.gaussian stream |] in
+  let r = Tvla.campaign_seeded (Rng.create 5) ~traces_per_class:500 ~collect in
   Alcotest.(check bool) "no false positive" true (not (Tvla.leaks r))
 
 let test_tvla_detects_mean_shift () =
-  let rng = Rng.create 6 in
-  let collect = function
-    | `Fixed -> [| Rng.gaussian rng +. 0.5 |]
-    | `Random -> [| Rng.gaussian rng |]
+  let collect stream = function
+    | `Fixed -> [| Rng.gaussian stream +. 0.5 |]
+    | `Random -> [| Rng.gaussian stream |]
   in
-  let r = Tvla.campaign ~traces_per_class:1000 ~collect in
+  let r = Tvla.campaign_seeded (Rng.create 6) ~traces_per_class:1000 ~collect in
   Alcotest.(check bool) "leak found" true (Tvla.leaks r);
   Alcotest.(check (list int)) "sample 0 flagged" [ 0 ] r.Tvla.leaky_samples
 
 let test_tvla_escalation_monotone_overall () =
-  let rng = Rng.create 7 in
-  let collect = function
-    | `Fixed -> [| Rng.gaussian rng +. 0.3 |]
-    | `Random -> [| Rng.gaussian rng |]
+  let collect stream = function
+    | `Fixed -> [| Rng.gaussian stream +. 0.3 |]
+    | `Random -> [| Rng.gaussian stream |]
   in
-  let series = Tvla.escalation ~steps:[ 100; 400; 1600 ] ~collect in
+  (* Escalation as prefix campaigns: streams are split off in order, so
+     each campaign is the first n pairs of the 1600-pair one. *)
+  let series =
+    List.map
+      (fun n -> (Tvla.campaign_seeded (Rng.create 7) ~traces_per_class:n ~collect).Tvla.max_abs_t)
+      [ 100; 400; 1600 ]
+  in
   (match series with
-   | [ (_, t1); (_, t2); (_, t3) ] ->
+   | [ t1; t2; t3 ] ->
      Alcotest.(check bool) "grows with n" true (t3 > t1);
      Alcotest.(check bool) "mid" true (t2 > t1 *. 0.5)
    | _ -> Alcotest.fail "expected 3 points")

@@ -124,7 +124,46 @@ let test_moments_match_batch () =
   let m = Stats.moments_create () in
   Array.iter (Stats.moments_add m) xs;
   Alcotest.(check (float 1e-9)) "online mean" (Stats.mean xs) (Stats.moments_mean m);
-  Alcotest.(check (float 1e-9)) "online var" (Stats.variance xs) (Stats.moments_variance m)
+  Alcotest.(check (float 1e-9)) "online var" (Stats.variance xs) (Stats.moments_variance m);
+  (* Higher moments: merging uneven batches in order must agree with
+     sequential accumulation. *)
+  let merged =
+    List.fold_left
+      (fun acc (lo, len) ->
+        let b = Stats.moments_create () in
+        Array.iter (Stats.moments_add b) (Array.sub xs lo len);
+        Stats.moments_merge acc b)
+      (Stats.moments_create ())
+      [ (0, 1); (1, 31); (32, 200); (232, 7); (239, 261) ]
+  in
+  let rel name a b =
+    Alcotest.(check bool) (name ^ " within 1e-9 relative") true
+      (Float.abs (a -. b) <= 1e-9 *. Float.max 1e-300 (Float.abs a))
+  in
+  rel "merged m3" m.Stats.m3 merged.Stats.m3;
+  rel "merged m4" m.Stats.m4 merged.Stats.m4;
+  (* Second-order t against a direct two-pass computation: centre each
+     class on its own mean, square, then Welch with population variance. *)
+  let ys = Array.init 400 (fun _ -> 0.3 +. (1.7 *. Rng.gaussian rng)) in
+  let centred_sq zs =
+    let mu = Stats.mean zs in
+    Array.map (fun z -> (z -. mu) *. (z -. mu)) zs
+  in
+  let pop_var zs =
+    let mu = Stats.mean zs in
+    Array.fold_left (fun acc z -> acc +. ((z -. mu) *. (z -. mu))) 0.0 zs
+    /. Float.of_int (Array.length zs)
+  in
+  let px = centred_sq xs and py = centred_sq ys in
+  let direct =
+    (Stats.mean px -. Stats.mean py)
+    /. sqrt
+         ((pop_var px /. Float.of_int (Array.length px))
+          +. (pop_var py /. Float.of_int (Array.length py)))
+  in
+  let my = Stats.moments_create () in
+  Array.iter (Stats.moments_add my) ys;
+  rel "second-order t" direct (Stats.welch_t2_moments m my)
 
 let test_welch_identical_zero () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in

@@ -145,10 +145,11 @@ let fig1 () =
   run_design "multiplier(4)" (Gen.array_multiplier 4);
   subbanner "the flow is security-oblivious";
   (* 1. It destroys masked logic (quantified in the fig2 section). *)
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let flowed = flow_ok (F.run rng masked.Sidechannel.Isw.circuit) in
-  let rebound = Sidechannel.Isw.rebind masked flowed.F.final in
-  let r = Sidechannel.Leakage.tvla_campaign rng rebound ~traces_per_class:3000 ~noise_sigma:0.3 in
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let flowed = flow_ok (F.run rng masked.Synth.Masking.circuit) in
+  let r =
+    Sidechannel.Secure_synth.assess rng flowed.F.final ~traces_per_class:3000 ~noise_sigma:0.3
+  in
   Printf.printf
     "  masked AND pushed through the classical flow: TVLA max|t| = %.1f (was < 4.5 before the flow)\n"
     r.Sidechannel.Tvla.max_abs_t;
@@ -189,10 +190,13 @@ let fig2 () =
   Printf.printf "  aware: %b   unaware: %b\n" (check aware) (check unaware);
   subbanner "TVLA, fixed-vs-random, HW power model (sigma = 0.3)";
   Printf.printf "  %-12s %14s %14s %10s\n" "traces/class" "aware max|t|" "unaware max|t|" "threshold";
+  let assess (m : Synth.Masking.masked) n =
+    Sidechannel.Secure_synth.assess rng m.circuit ~traces_per_class:n ~noise_sigma:0.3
+  in
   List.iter
     (fun n ->
-      let ra = L.tvla_campaign rng aware ~traces_per_class:n ~noise_sigma:0.3 in
-      let ru = L.tvla_campaign rng unaware ~traces_per_class:n ~noise_sigma:0.3 in
+      let ra = assess aware n in
+      let ru = assess unaware n in
       Printf.printf "  %-12d %14.2f %14.2f %10.1f %s\n" n ra.Sidechannel.Tvla.max_abs_t
         ru.Sidechannel.Tvla.max_abs_t Sidechannel.Tvla.threshold
         (if Sidechannel.Tvla.leaks ru then "<- unaware LEAKS" else ""))
@@ -206,20 +210,20 @@ let fig2 () =
   Printf.printf
     "  The paper asks how accurate timing/power models must be for reliable\n\
      leakage prediction. The same AWARE netlist, assessed under different\n\
-     pre-silicon models (4000 traces/class):\n";
+     pre-silicon models (4000 traces/class; 16000 for the stuck-TRNG row,\n\
+     whose effect sits near the threshold at 4000):\n";
   let cfg = { Power.Model.time_bins = 16; bin_width_ps = 50.0; noise_sigma = 0.2 } in
   let report name r =
     Printf.printf "  %-46s max|t| = %6.2f  %s\n" name r.Sidechannel.Tvla.max_abs_t
       (if Sidechannel.Tvla.leaks r then "LEAKS" else "passes")
   in
-  report "Hamming weight, settled state"
-    (L.tvla_campaign rng aware ~traces_per_class:4000 ~noise_sigma:0.3);
+  report "Hamming weight, settled state" (assess aware 4000);
   report "event-driven, nominal delays"
     (L.tvla_campaign_glitch rng aware ~traces_per_class:4000 ~config:cfg);
   report "event-driven, mask refresh 400 ps late"
     (L.tvla_campaign_glitch ~mask_skew_ps:400.0 rng aware ~traces_per_class:4000 ~config:cfg);
   report "mask source failed (stuck TRNG, [41]'s case)"
-    (L.tvla_campaign_mask_failure rng aware ~traces_per_class:4000 ~noise_sigma:0.3);
+    (L.tvla_campaign_mask_failure rng aware ~traces_per_class:16000 ~noise_sigma:0.3);
   Printf.printf
     "  -> the verdict flips with the model: a flow that only simulates one\n\
      model certifies a circuit whose security rests on timing assumptions.\n"
@@ -307,14 +311,12 @@ let stepfn () =
   Printf.printf "  %-8s %10s %12s %8s\n" "shares" "area" "max|t|" "passes";
   List.iter
     (fun shares ->
-      let masked = Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-      let secure =
-        Sidechannel.Isw.rebind masked
-          (Synth.Flow.optimize_secure ~protect:Sidechannel.Isw.protected_name
-             masked.Sidechannel.Isw.circuit)
+      let masked = Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
+      let secure = Synth.Flow.optimize_secure masked.Synth.Masking.circuit in
+      let r =
+        Sidechannel.Secure_synth.assess rng secure ~traces_per_class:4000 ~noise_sigma:0.3
       in
-      let r = Sidechannel.Leakage.tvla_campaign rng secure ~traces_per_class:4000 ~noise_sigma:0.3 in
-      let area = (Circuit.stats secure.Sidechannel.Isw.circuit).Circuit.area in
+      let area = (Circuit.stats secure).Circuit.area in
       Printf.printf "  %-8d %10.1f %12.2f %8b\n" shares area r.Sidechannel.Tvla.max_abs_t
         (not (Sidechannel.Tvla.leaks r)))
     [ 2; 3; 4 ];
@@ -518,15 +520,14 @@ let ablations () =
   subbanner "hiding (WDDL) vs masking (ISW) on the private AND";
   Printf.printf "  %-16s %8s %10s %14s %14s\n" "scheme" "area" "randoms" "1st-ord |t|" "2nd-ord |t|";
   let report_masked name shares =
-    let masked = Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-    let collect stream cls =
-      let a, b = Sidechannel.Leakage.secrets stream cls in
-      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
+    let masked = Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
+    let r =
+      Sidechannel.Secure_synth.assess rng masked.Synth.Masking.circuit ~traces_per_class:6000
+        ~noise_sigma:0.1
     in
-    let r = Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:6000 ~collect in
     Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" name
-      (Circuit.stats masked.Sidechannel.Isw.circuit).Circuit.area
-      (Array.length masked.Sidechannel.Isw.random_inputs)
+      (Circuit.stats masked.Synth.Masking.circuit).Circuit.area
+      (Array.length masked.Synth.Masking.random_inputs)
       r.Sidechannel.Tvla.max_abs_t r.Sidechannel.Tvla.max_abs_t2
   in
   report_masked "ISW 2 shares" 2;
@@ -685,7 +686,7 @@ let micro () =
             fun () ->
               let vec = Sidechannel.Isw.input_vector r masked ~values:[ ("a", true); ("b", true) ] in
               ignore
-                (Power.Model.hamming_weight_sample r masked.Sidechannel.Isw.circuit
+                (Power.Model.hamming_weight_sample r masked.Synth.Masking.circuit
                    ~noise_sigma:0.3 ~inputs:vec)));
       Test.make ~name:"sat_attack_epic8_alu4"
         (Staged.stage
@@ -1016,12 +1017,9 @@ let perf () =
       (let masked =
          Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware
        in
-       workload "tvla_campaign"
-         ~gates:(Netlist.Circuit.node_count masked.Sidechannel.Isw.circuit)
-         (fun () ->
-           ignore
-             (Sidechannel.Leakage.tvla_campaign rng masked ~traces_per_class:1000
-                ~noise_sigma:0.3)));
+       let c = masked.Synth.Masking.circuit in
+       workload "tvla_campaign" ~gates:(Netlist.Circuit.node_count c) (fun () ->
+           ignore (Sidechannel.Secure_synth.assess rng c ~traces_per_class:1000 ~noise_sigma:0.3)));
       workload "flow_run" ~gates:alu_gates (fun () ->
           ignore (Secure_eda.Flow.run rng alu)) ]
   in

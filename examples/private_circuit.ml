@@ -12,11 +12,10 @@ let () =
 
   (* 1. The sensitive operation: c = a AND b (a, b secret). *)
   print_endline "masking c = a AND b with 3-share ISW private circuits...";
-  let masked = Sidechannel.Isw.transform ~shares:3 (L.private_and_source ()) in
-  Printf.printf "  shares per secret: %d, fresh random bits: %d, gates: %d\n"
-    masked.Sidechannel.Isw.shares
-    (Array.length masked.Sidechannel.Isw.random_inputs)
-    (Netlist.Circuit.stats masked.Sidechannel.Isw.circuit).Netlist.Circuit.gates;
+  let masked = Synth.Masking.transform ~shares:3 (L.private_and_source ()) in
+  Printf.printf "  shares per secret: %d, fresh random bits: %d, gates: %d\n" masked.shares
+    (Array.length masked.random_inputs)
+    (Netlist.Circuit.stats masked.circuit).Netlist.Circuit.gates;
 
   (* 2. Synthesize twice. *)
   let aware = L.synthesize_masked L.Security_aware in
@@ -33,8 +32,10 @@ let () =
   Printf.printf "functional check: aware %b, unaware %b\n" (check aware) (check unaware);
 
   (* 4. ... but only one is secure. Fixed-vs-random TVLA: *)
-  let assess name masked =
-    let r = L.tvla_campaign rng masked ~traces_per_class:5000 ~noise_sigma:0.3 in
+  let assess name (masked : Synth.Masking.masked) =
+    let r =
+      Sidechannel.Secure_synth.assess rng masked.circuit ~traces_per_class:5000 ~noise_sigma:0.3
+    in
     Printf.printf "  %-22s max|t| = %6.2f  -> %s\n" name r.Tvla.max_abs_t
       (if Tvla.leaks r then "LEAKS (fails TVLA)" else "passes TVLA");
     r

@@ -33,13 +33,13 @@ let point_name = function
 type design = {
   point : point;
   circuit : Circuit.t;
-  masked : Isw.masked option;  (* drives share/randomness inputs *)
+  masked : Synth.Masking.masked option;  (* drives share/randomness inputs *)
   alarm : string option;  (* error-detection alarm output name *)
 }
 
 (* Protect a circuit with an independent predictor of the XOR of its
    outputs (cf. Fault.Countermeasure.parity_protect, rebuilt here so the
-   masked variant can keep its Isw descriptor attached). *)
+   masked variant can keep its masked descriptor attached). *)
 let add_parity source =
   let prot = Fault.Countermeasure.parity_protect source in
   prot.Fault.Countermeasure.circuit
@@ -50,12 +50,12 @@ let build point =
   | Baseline -> { point; circuit = source; masked = None; alarm = None }
   | Masked ->
     let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    { point; circuit = m.Isw.circuit; masked = Some m; alarm = None }
+    { point; circuit = m.circuit; masked = Some m; alarm = None }
   | Parity ->
     { point; circuit = add_parity source; masked = None; alarm = Some "alarm" }
   | Masked_and_parity ->
     let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    let protected_c = add_parity m.Isw.circuit in
+    let protected_c = add_parity m.circuit in
     let m = Isw.rebind m protected_c in
     { point; circuit = protected_c; masked = Some m; alarm = Some "alarm" }
 
@@ -67,12 +67,8 @@ let stimulus rng design ~a ~b =
 
 (** First-order TVLA max |t| under the Hamming-weight model. *)
 let tvla_max_t rng design ~traces_per_class ~noise_sigma =
-  let collect stream cls =
-    let a, b = Sidechannel.Leakage.secrets stream cls in
-    let vec = stimulus stream design ~a ~b in
-    [| Power.Model.hamming_weight_sample stream design.circuit ~noise_sigma ~inputs:vec |]
-  in
-  (Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect).Sidechannel.Tvla.max_abs_t
+  (Sidechannel.Secure_synth.assess rng design.circuit ~traces_per_class ~noise_sigma)
+    .Sidechannel.Tvla.max_abs_t
 
 (** Fault detection rate: fraction of random transient bit-flips that are
     caught by the alarm (0 without error detection). *)

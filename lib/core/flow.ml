@@ -1,6 +1,6 @@
 (** The end-to-end EDA flow of Fig. 1: synthesize -> place -> verify
     timing/power -> generate tests, behind one budgeted, poolable,
-    checkpointable entry point ({!run}). With [protect] empty the flow is
+    checkpointable entry point ({!run}). Without [protect] the flow is
     fully security-oblivious, exactly the classical PPA flow the paper
     critiques; [protect] threads protection barriers through synthesis. *)
 
@@ -249,8 +249,11 @@ type report = {
 
     - the input is linted before anything runs; a structurally invalid
       netlist is the only [Error] case;
+    - without [protect], logic synthesis is the classical
+      [Synth.Flow.optimize]; with it, [Synth.Flow.optimize_secure]
+      fences [protect] plus the masked-gadget prefixes;
     - [budget] bounds the whole flow; every stage draws a sub-budget from
-      it ([stage_steps] optionally caps individual stages);
+      it;
     - [pool] parallelizes the testing stage's per-fault SAT queries (the
       flow's dominant cost); stage results stay independent of the
       domain count;
@@ -268,9 +271,7 @@ type report = {
     [flow.degraded] note on its stage span, and each stage gauges
     [flow.budget_utilization] from its sub-budget so partial results can
     be read as budget pressure. *)
-let run rng ?(protect = fun (_ : string) -> false) ?budget ?pool
-    ?(stage_steps = fun (_ : stage) -> None) ?(stages = all_stages) ?resume
-    ?checkpoint_to circuit =
+let run rng ?protect ?budget ?pool ?(stages = all_stages) ?resume ?checkpoint_to circuit =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let start_circuit, done_reports =
     match resume with
@@ -310,7 +311,7 @@ let run rng ?(protect = fun (_ : string) -> false) ?budget ?pool
     let run_stage stage =
       T.with_span "flow.stage" ~attrs:[ ("stage", T.Str (stage_name stage)) ]
       @@ fun () ->
-      let sub = Budget.sub ?steps:(stage_steps stage) root in
+      let sub = Budget.sub root in
       let finish () =
         match Budget.utilization sub with
         | Some u -> T.gauge "flow.budget_utilization" u
@@ -327,8 +328,9 @@ let run rng ?(protect = fun (_ : string) -> false) ?budget ?pool
           match stage with
           | Logic_synthesis ->
             let synthesized =
-              if protect == Synth.Rewrite.no_protection then Synth.Flow.optimize !current
-              else Synth.Flow.optimize_secure ~protect !current
+              match protect with
+              | None -> Synth.Flow.optimize !current
+              | Some protect -> Synth.Flow.optimize_secure ~protect !current
             in
             current := synthesized;
             report stage "constant-prop + strash + xor-reassoc"

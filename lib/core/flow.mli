@@ -3,7 +3,9 @@
     optional capabilities: [?budget] bounds every stage, [?pool]
     parallelizes the testing stage, [?resume] continues a checkpointed
     run, telemetry is ambient. With [protect] unset the flow is the
-    security-oblivious classical PPA flow the paper critiques. *)
+    security-oblivious classical PPA flow the paper critiques
+    ([Synth.Flow.optimize]); with it, logic synthesis is
+    [Synth.Flow.optimize_secure ~protect]. *)
 
 type stage = Logic_synthesis | Physical_synthesis | Timing_power_verification | Testing
 
@@ -65,18 +67,16 @@ type report = {
     structurally invalid input netlist is the only [Error]; a stage that
     exhausts its budget or fails internally is recorded with
     [degraded = Some reason] and the design passes through unchanged so
-    later stages still run. [stage_steps] caps individual stages within
-    [budget]; [stages] restricts the run (default: all four, in order);
-    [pool] parallelizes the per-fault ATPG queries without changing any
-    stage result; [checkpoint_to] saves the checkpoint to disk (atomic
-    temp+rename) after every completed stage so a killed run resumes
-    from its last finished stage. *)
+    later stages still run. [stages] restricts the run (default: all
+    four, in order); [pool] parallelizes the per-fault ATPG queries
+    without changing any stage result; [checkpoint_to] saves the
+    checkpoint to disk (atomic temp+rename) after every completed stage
+    so a killed run resumes from its last finished stage. *)
 val run :
   Eda_util.Rng.t ->
   ?protect:(string -> bool) ->
   ?budget:Eda_util.Budget.t ->
   ?pool:Eda_util.Pool.t ->
-  ?stage_steps:(stage -> int option) ->
   ?stages:stage list ->
   ?resume:checkpoint ->
   ?checkpoint_to:string ->

@@ -44,7 +44,10 @@ let run_iflow rng =
 
 let run_masking rng =
   let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-  let r = Sidechannel.Leakage.tvla_campaign rng masked ~traces_per_class:1500 ~noise_sigma:0.3 in
+  let r =
+    Sidechannel.Secure_synth.assess rng masked.Synth.Masking.circuit ~traces_per_class:1500
+      ~noise_sigma:0.3
+  in
   Printf.sprintf "ISW masking: TVLA max|t| = %.2f (pass < 4.5)" r.Sidechannel.Tvla.max_abs_t
 
 let run_register_flush _rng =
@@ -119,7 +122,10 @@ let run_security_monitor rng =
 
 let run_tvla rng =
   let unaware = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
-  let r = Sidechannel.Leakage.tvla_campaign rng unaware ~traces_per_class:1500 ~noise_sigma:0.3 in
+  let r =
+    Sidechannel.Secure_synth.assess rng unaware.Synth.Masking.circuit ~traces_per_class:1500
+      ~noise_sigma:0.3
+  in
   Printf.sprintf "TVLA (layout-level model): max|t| = %.2f (threshold 4.5)" r.Sidechannel.Tvla.max_abs_t
 
 let run_sensors rng =
@@ -289,12 +295,11 @@ let run_upec _rng =
   Printf.sprintf "UPEC-style 2-safety BMC: architectural secret leak found = %b" leak
 
 let run_second_order rng =
-  let masked = Sidechannel.Isw.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
-  let collect stream cls =
-    let a, b = Sidechannel.Leakage.secrets stream cls in
-    [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
+  let masked = Synth.Masking.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let r =
+    Sidechannel.Secure_synth.assess rng masked.Synth.Masking.circuit ~traces_per_class:4000
+      ~noise_sigma:0.1
   in
-  let r = Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:4000 ~collect in
   Printf.sprintf
     "2-share masking: 1st-order |t| = %.1f (passes), 2nd-order |t| = %.1f (FAILS: order matters)"
     r.Sidechannel.Tvla.max_abs_t r.Sidechannel.Tvla.max_abs_t2
@@ -384,7 +389,7 @@ let table =
       modules = "Iflow.Qif, Sidechannel.Isw, Hls.Dataflow"; run = run_iflow };
     { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Integration of masking [5]";
-      modules = "Sidechannel.Isw"; run = run_masking };
+      modules = "Synth.Masking, Sidechannel.Secure_synth"; run = run_masking };
     { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Domain-oriented masking [5] (register stage)";
       modules = "Sidechannel.Dom"; run = run_dom };
@@ -438,7 +443,7 @@ let table =
       modules = "Trojan.Insert (rare-net analysis)"; run = run_security_monitor };
     { stage = Physical_synthesis; threat = Threat_model.Side_channel;
       scheme = "Low-level leakage analysis (TVLA [16])";
-      modules = "Sidechannel.Tvla, Power.Model"; run = run_tvla };
+      modules = "Sidechannel.Secure_synth, Power.Model"; run = run_tvla };
     { stage = Physical_synthesis; threat = Threat_model.Fault_injection;
       scheme = "Embedding sensors [9], [26]; shielding [29]";
       modules = "Trojan.Detect (RO sensors)"; run = run_sensors };
@@ -480,7 +485,7 @@ let table =
       modules = "Power.Model, Timing.Event_sim"; run = run_presilicon_power };
     { stage = Timing_power_verification; threat = Threat_model.Side_channel;
       scheme = "Higher-order leakage assessment (masking order)";
-      modules = "Sidechannel.Tvla.campaign_seeded"; run = run_second_order };
+      modules = "Synth.Masking, Sidechannel.Secure_synth"; run = run_second_order };
     { stage = Timing_power_verification; threat = Threat_model.Fault_injection;
       scheme = "Detailed modeling of fault injections [38]";
       modules = "Fault.Model (transients)"; run = run_fault_modeling };

@@ -8,12 +8,14 @@
       depends on the unmasked secret.
 
     Both are then evaluated with fixed-vs-random TVLA under a first-order
-    Hamming-weight power model. The glitch variant repeats the assessment
-    with the delay-annotated event simulation, reproducing the Sec. III-E
-    point that glitches leak even from correctly synthesized masking. *)
+    Hamming-weight power model ({!Secure_synth.assess}). The glitch
+    variant repeats the assessment with the delay-annotated event
+    simulation, reproducing the Sec. III-E point that glitches leak even
+    from correctly synthesized masking. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
+module Masking = Synth.Masking
 module Rng = Eda_util.Rng
 
 (** The paper's example target: c = a AND b, to be masked. *)
@@ -29,15 +31,15 @@ type variant = Security_aware | Security_unaware
 
 (** Masked-and-synthesized circuit for one flow variant. *)
 let synthesize_masked ?(shares = 3) variant =
-  let masked = Isw.transform ~shares (private_and_source ()) in
+  let masked = Masking.transform ~shares (private_and_source ()) in
   let circuit =
     match variant with
     | Security_aware ->
-      (* The aware flow honours the isw_ order barriers. *)
-      Synth.Flow.optimize_secure ~protect:Isw.protected_name masked.Isw.circuit
+      (* The aware flow always fences the mg_ gadget internals. *)
+      Synth.Flow.optimize_secure masked.circuit
     | Security_unaware ->
       (* The classical flow is free to re-associate (Fig. 2). *)
-      Synth.Xor_reassoc.run masked.Isw.circuit
+      Synth.Xor_reassoc.run masked.circuit
   in
   Isw.rebind masked circuit
 
@@ -47,37 +49,15 @@ let secrets rng = function
   | `Fixed -> true, true
   | `Random -> Rng.bool rng, Rng.bool rng
 
-(** One Hamming-weight leakage sample of the masked circuit for secret
-    inputs [a] and [b] with fresh share/mask randomness. [scratch] is a
-    reusable net-value buffer for campaign loops. *)
-let hw_sample rng ?scratch masked ~noise_sigma ~a ~b =
-  let vec = Isw.input_vector rng masked ~values:[ ("a", a); ("b", b) ] in
-  Power.Model.hamming_weight_sample rng ?scratch masked.Isw.circuit ~noise_sigma ~inputs:vec
-
-(** Fixed-vs-random TVLA on a masked variant, fixed class (a,b) = (1,1).
-    Every trace draws its randomness from the per-pair stream handed in
-    by {!Tvla.campaign_seeded}, so the assessment is a function of [rng]
-    alone — bit-identical with no pool and with a pool of any domain
-    count. The scratch buffer is allocated per trace: streams may be
-    consumed on different domains concurrently, so a shared buffer would
-    race. *)
-let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
-  let nodes = Circuit.node_count masked.Isw.circuit in
-  let collect stream cls =
-    let a, b = secrets stream cls in
-    let scratch = Array.make nodes false in
-    [| hw_sample stream ~scratch masked ~noise_sigma ~a ~b |]
-  in
-  Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect
-
 (** Glitch-aware variant: traces from the delay-annotated event simulation,
     with inputs switching from an all-zero reference state.
     [mask_skew_ps > 0] delays the arrival of the masking randomness inputs
     by that much — the late-mask-refresh scenario in which share products
     are transiently combined before the fresh randomness lands, the classic
     glitch-leakage mechanism of [55] (Sec. III-E). *)
-let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~config =
-  let c = masked.Isw.circuit in
+let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng (masked : Masking.masked)
+    ~traces_per_class ~config =
+  let c = masked.circuit in
   let ni = Circuit.num_inputs c in
   let input_arrivals =
     let arr = Array.make ni 0.0 in
@@ -87,7 +67,7 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
         Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
         fun id -> Hashtbl.find tbl id
       in
-      Array.iter (fun id -> arr.(pos_of id) <- mask_skew_ps) masked.Isw.random_inputs
+      Array.iter (fun id -> arr.(pos_of id) <- mask_skew_ps) masked.random_inputs
     end;
     arr
   in
@@ -105,8 +85,8 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
     "masked" circuit leaks like an unmasked one; this is the limit case of
     the timing-model question of Sec. III-E (a mask that arrives after the
     evaluation window is as good as no mask). *)
-let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
-  let c = masked.Isw.circuit in
+let tvla_campaign_mask_failure rng (masked : Masking.masked) ~traces_per_class ~noise_sigma =
+  let c = masked.circuit in
   (* shared: without a pool the campaign runs its traces one at a time *)
   let scratch = Array.make (Circuit.node_count c) false in
   let pos_of =
@@ -117,7 +97,7 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
   let collect stream cls =
     let a, b = secrets stream cls in
     let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
-    Array.iter (fun id -> vec.(pos_of id) <- false) masked.Isw.random_inputs;
+    Array.iter (fun id -> vec.(pos_of id) <- false) masked.random_inputs;
     [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
   in
   Tvla.campaign_seeded rng ~traces_per_class ~collect
@@ -125,8 +105,8 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
 (** Find the most leaking internal wire of a masked circuit: one campaign
     whose trace is the vector of node values, so each node gets its own
     fixed-vs-random t. Identifies the factored wire of Fig. 2 by name. *)
-let leakiest_wire rng masked ~samples =
-  let c = masked.Isw.circuit in
+let leakiest_wire rng (masked : Masking.masked) ~samples =
+  let c = masked.circuit in
   let values = Array.make (Circuit.node_count c) false in
   let collect stream cls =
     let a, b = secrets stream cls in

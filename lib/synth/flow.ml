@@ -35,7 +35,7 @@ let optimize ?(reassoc = true) c =
 (** Security-aware variant: [protect] marks nodes whose structure is a
     security property (mask-accumulation chains, locked logic, sensors).
     The recipe always fences the standard gadget prefixes
-    ([isw_]/[dom_]/[mg_]) in addition to [protect]. *)
-let optimize_secure ~protect c =
+    ([dom_]/[mg_]) in addition to [protect]. *)
+let optimize_secure ?protect c =
   T.with_span "synth.optimize_secure" @@ fun () ->
-  Pipeline.run ~protect (Pipeline.get "optimize_secure") c
+  Pipeline.run ?protect (Pipeline.get "optimize_secure") c

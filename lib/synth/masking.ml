@@ -10,8 +10,8 @@
     - [Isw]: the ISW private-circuit AND — per ordered share pair,
       [z_qp = (r ^ a_p b_q) ^ a_q b_p] with fresh randomness per
       unordered pair, accumulated as
-      [c_i = a_i b_i ^ z_i1 ^ ...] (the exact association of
-      [Sidechannel.Isw], reproduced here gate for gate);
+      [c_i = a_i b_i ^ z_i1 ^ ...] — the masked AND of the paper's
+      Fig. 2 example;
     - [Dom]: the combinational DOM-indep AND — cross products remasked
       with randomness {e shared} per unordered pair
       ([q_i = a_i b_i ^ (a_i b_j ^ z_ij) ^ ...]); the register stage of
@@ -25,7 +25,7 @@
     runs, machines and worker-pool sizes.
 
     Every created net carries the ["mg_"] prefix, which doubles as the
-    order barrier for security-aware synthesis (cf. ["isw_"]/["dom_"]).
+    order barrier for security-aware synthesis (cf. ["dom_"]).
 
     Modes:
     - {!transform} masks a whole combinational circuit, re-shaping its

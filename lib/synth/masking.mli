@@ -13,8 +13,8 @@
 
 type style =
   | Isw  (** ISW private-circuit AND: fresh randomness per ordered pair,
-             [z_qp = (r ^ a_p b_q) ^ a_q b_p] — the association of
-             [Sidechannel.Isw], reproduced gate for gate *)
+             [z_qp = (r ^ a_p b_q) ^ a_q b_p] — the masked AND of the
+             paper's Fig. 2 example *)
   | Dom  (** combinational DOM-indep AND: cross products remasked with
              randomness shared per unordered pair; no register stage, so
              only the probing-model argument applies, not the glitch

@@ -93,19 +93,24 @@ let test_flow_reports_all_stages () =
 
 let test_flow_demonstrates_fig2_on_masked_input () =
   (* The classical flow run on a masked circuit destroys its security;
-     the same flow with barriers does not (checked via structure: the
-     protected run keeps the ISW chain names). *)
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let c = masked.Sidechannel.Isw.circuit in
+     the same flow with barriers does not (checked by TVLA on both finals). *)
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let c = masked.Synth.Masking.circuit in
   let rng = Rng.create 8 in
   let ok = function
     | Ok r -> r
     | Error e -> Alcotest.fail (Eda_util.Eda_error.to_string e)
   in
   let classical = ok (Flow.run rng c) in
-  let secure = ok (Flow.run rng ~protect:Sidechannel.Isw.protected_name c) in
+  let secure = ok (Flow.run rng ~protect:Synth.Masking.protected_name c) in
   Alcotest.(check bool) "both functionally fine" true
-    (Netlist.Sim.equivalent_exhaustive classical.Flow.final secure.Flow.final)
+    (Netlist.Sim.equivalent_exhaustive classical.Flow.final secure.Flow.final);
+  let leaks final =
+    Sidechannel.Secure_synth.leaks (Rng.create 31) final ~traces_per_class:2000
+      ~noise_sigma:0.3
+  in
+  Alcotest.(check bool) "classical flow leaks" true (leaks classical.Flow.final);
+  Alcotest.(check bool) "protected flow passes" false (leaks secure.Flow.final)
 
 let test_metric_shape_classifier () =
   let step = [ (1.0, 0.0); (2.0, 0.02); (3.0, 1.0); (4.0, 1.0) ] in

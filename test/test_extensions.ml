@@ -65,13 +65,10 @@ let test_second_order_masking_story () =
   let rng = Rng.create 2 in
   let assess shares =
     let masked =
-      Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ())
+      Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ())
     in
-    let collect stream cls =
-      let a, b = Sidechannel.Leakage.secrets stream cls in
-      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
-    in
-    Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:6000 ~collect
+    Sidechannel.Secure_synth.assess rng masked.Synth.Masking.circuit ~traces_per_class:6000
+      ~noise_sigma:0.1
   in
   let r2 = assess 2 in
   let r3 = assess 3 in

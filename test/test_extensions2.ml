@@ -364,14 +364,14 @@ let test_dom_registers_cross_terms () =
      contain flip-flops (ISW has none). *)
   let src = Sidechannel.Leakage.private_and_source () in
   let dom = Sidechannel.Dom.transform ~shares:2 src in
-  let isw = Sidechannel.Isw.transform ~shares:2 src in
+  let isw = Synth.Masking.transform ~shares:2 src in
   Alcotest.(check bool) "DOM has registers" true
     (Circuit.num_dffs dom.Sidechannel.Dom.circuit > 0);
   Alcotest.(check int) "ISW is combinational" 0
-    (Circuit.num_dffs isw.Sidechannel.Isw.circuit);
+    (Circuit.num_dffs isw.Synth.Masking.circuit);
   (* Same randomness budget at equal share count. *)
   Alcotest.(check int) "same randomness"
-    (Array.length isw.Sidechannel.Isw.random_inputs)
+    (Array.length isw.Synth.Masking.random_inputs)
     (Array.length dom.Sidechannel.Dom.random_inputs)
 
 let test_dom_first_order_passes () =

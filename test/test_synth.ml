@@ -137,10 +137,10 @@ let test_xor_reassoc_regroups () =
 
 let test_xor_reassoc_protection () =
   (* With every net protected, the circuit structure is unchanged. *)
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let before = Circuit.node_count masked.Sidechannel.Isw.circuit in
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let before = Circuit.node_count masked.Synth.Masking.circuit in
   let after =
-    Synth.Xor_reassoc.run ~protect:Sidechannel.Isw.protected_name masked.Sidechannel.Isw.circuit
+    Synth.Xor_reassoc.run ~protect:Synth.Masking.protected_name masked.Synth.Masking.circuit
   in
   (* Protected XOR chains are kept verbatim: same node count post sweep. *)
   Alcotest.(check int) "structure preserved" before (Circuit.node_count after)
@@ -164,9 +164,9 @@ let test_ppa_model () =
   Alcotest.(check bool) "gate count sane" true (p.Synth.Flow.gate_count = gates c)
 
 let test_optimize_secure_preserves_function () =
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let c = masked.Sidechannel.Isw.circuit in
-  let opt = Synth.Flow.optimize_secure ~protect:Sidechannel.Isw.protected_name c in
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let c = masked.Synth.Masking.circuit in
+  let opt = Synth.Flow.optimize_secure ~protect:Synth.Masking.protected_name c in
   Alcotest.(check bool) "equivalent" true (Sim.equivalent_exhaustive c opt)
 
 (* --- pass manager / pipeline ------------------------------------------- *)
@@ -222,9 +222,9 @@ let test_pipeline_matches_legacy () =
     (differential_workloads ())
 
 let test_pipeline_matches_legacy_secure () =
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let c = masked.Sidechannel.Isw.circuit in
-  let protect = Sidechannel.Isw.protected_name in
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let c = masked.Synth.Masking.circuit in
+  let protect = Synth.Masking.protected_name in
   Alcotest.(check string) "secure flow bit-identical"
     (fp (Legacy.optimize_secure ~protect c))
     (fp (Synth.Flow.optimize_secure ~protect c))

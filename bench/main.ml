@@ -177,11 +177,11 @@ let fig2 () =
      prescribed XOR accumulation order; the classical flow re-associates\n\
      (factoring-friendly grouping), recreating a_3*(b1^b2^b3) on a wire.\n";
   subbanner "functional equivalence (both variants compute a AND b)";
-  let check masked =
+  let check c =
     let ok = ref true in
     for _ = 1 to 200 do
       let a = Rng.bool rng and b = Rng.bool rng in
-      match Sidechannel.Isw.eval rng masked ~values:[ ("a", a); ("b", b) ] with
+      match Sidechannel.Isw.eval rng c ~values:[ ("a", a); ("b", b) ] with
       | [ (_, y) ] -> if y <> (a && b) then ok := false
       | _ -> ok := false
     done;
@@ -190,9 +190,7 @@ let fig2 () =
   Printf.printf "  aware: %b   unaware: %b\n" (check aware) (check unaware);
   subbanner "TVLA, fixed-vs-random, HW power model (sigma = 0.3)";
   Printf.printf "  %-12s %14s %14s %10s\n" "traces/class" "aware max|t|" "unaware max|t|" "threshold";
-  let assess (m : Synth.Masking.masked) n =
-    Sidechannel.Secure_synth.assess rng m.circuit ~traces_per_class:n ~noise_sigma:0.3
-  in
+  let assess c n = Sidechannel.Secure_synth.assess rng c ~traces_per_class:n ~noise_sigma:0.3 in
   List.iter
     (fun n ->
       let ra = assess aware n in
@@ -683,11 +681,10 @@ let micro () =
       Test.make ~name:"power_hw_sample_masked"
         (Staged.stage
            (let r = Rng.create 9 in
+            let st = Sidechannel.Isw.stimulus masked in
             fun () ->
-              let vec = Sidechannel.Isw.input_vector r masked ~values:[ ("a", true); ("b", true) ] in
-              ignore
-                (Power.Model.hamming_weight_sample r masked.Synth.Masking.circuit
-                   ~noise_sigma:0.3 ~inputs:vec)));
+              let vec = Sidechannel.Isw.vector st r ~value:(fun _ -> true) in
+              ignore (Power.Model.hamming_weight_sample r masked ~noise_sigma:0.3 ~inputs:vec)));
       Test.make ~name:"sat_attack_epic8_alu4"
         (Staged.stage
            (let r = Rng.create 11 in
@@ -1014,10 +1011,7 @@ let perf () =
           ignore
             (Locking.Sat_attack.run
                ~oracle:(Locking.Sat_attack.oracle_of_circuit alu) locked));
-      (let masked =
-         Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware
-       in
-       let c = masked.Synth.Masking.circuit in
+      (let c = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
        workload "tvla_campaign" ~gates:(Netlist.Circuit.node_count c) (fun () ->
            ignore (Sidechannel.Secure_synth.assess rng c ~traces_per_class:1000 ~noise_sigma:0.3)));
       workload "flow_run" ~gates:alu_gates (fun () ->
@@ -1232,22 +1226,11 @@ let perf () =
     List.map
       (fun tgt ->
         let c = Netlist.Bench_gen.sized ~seed:12 Netlist.Bench_gen.Layered ~target_gates:tgt in
-        let ni = Netlist.Circuit.num_inputs c in
-        let nodes = Netlist.Circuit.node_count c in
-        let collect stream cls =
-          let vec =
-            Array.init ni (fun _ ->
-                match cls with `Fixed -> true | `Random -> Rng.bool stream)
-          in
-          let scratch = Array.make nodes false in
-          [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma:0.5
-               ~inputs:vec |]
-        in
-        pool_sweep "tvla_layered" ~gates:nodes
+        pool_sweep "tvla_layered" ~gates:(Netlist.Circuit.node_count c)
           ~extra:[ ("trace_pairs", T.Json.JInt tvla_pairs) ]
           (fun pool ->
-            Sidechannel.Tvla.campaign_seeded ?pool (Rng.create 5150)
-              ~traces_per_class:tvla_pairs ~collect)
+            Sidechannel.Secure_synth.assess ?pool (Rng.create 5150) c
+              ~traces_per_class:tvla_pairs ~noise_sigma:0.5)
           (fun r -> Printf.sprintf "%.12f" r.Sidechannel.Tvla.max_abs_t))
       tvla_sizes
   in

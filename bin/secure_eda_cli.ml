@@ -461,9 +461,8 @@ let tvla_fig2_cmd =
     let aware = L.synthesize_masked L.Security_aware in
     let unaware = L.synthesize_masked L.Security_unaware in
     (* The seeded campaign gives the same max|t| at any -j value. *)
-    let assess pool (m : Synth.Masking.masked) =
-      Sidechannel.Secure_synth.assess ?pool rng m.circuit ~traces_per_class:traces
-        ~noise_sigma:0.3
+    let assess pool c =
+      Sidechannel.Secure_synth.assess ?pool rng c ~traces_per_class:traces ~noise_sigma:0.3
     in
     let ra, ru =
       with_trace trace (fun () ->

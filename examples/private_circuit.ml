@@ -23,19 +23,17 @@ let () =
   print_endline "synthesized with (a) order barriers honoured, (b) classical XOR re-association";
 
   (* 3. Both are functionally perfect... *)
-  let check masked =
+  let check c =
     List.for_all
       (fun (a, b) ->
-        Sidechannel.Isw.eval rng masked ~values:[ ("a", a); ("b", b) ] = [ ("y", a && b) ])
+        Sidechannel.Isw.eval rng c ~values:[ ("a", a); ("b", b) ] = [ ("y", a && b) ])
       [ (false, false); (false, true); (true, false); (true, true) ]
   in
   Printf.printf "functional check: aware %b, unaware %b\n" (check aware) (check unaware);
 
   (* 4. ... but only one is secure. Fixed-vs-random TVLA: *)
-  let assess name (masked : Synth.Masking.masked) =
-    let r =
-      Sidechannel.Secure_synth.assess rng masked.circuit ~traces_per_class:5000 ~noise_sigma:0.3
-    in
+  let assess name c =
+    let r = Sidechannel.Secure_synth.assess rng c ~traces_per_class:5000 ~noise_sigma:0.3 in
     Printf.printf "  %-22s max|t| = %6.2f  -> %s\n" name r.Tvla.max_abs_t
       (if Tvla.leaks r then "LEAKS (fails TVLA)" else "passes TVLA");
     r

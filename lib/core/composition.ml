@@ -32,38 +32,24 @@ let point_name = function
 
 type design = {
   point : point;
-  circuit : Circuit.t;
-  masked : Synth.Masking.masked option;  (* drives share/randomness inputs *)
+  circuit : Circuit.t;  (* masked points keep their x_s<k> / mg_ input names *)
   alarm : string option;  (* error-detection alarm output name *)
 }
 
 (* Protect a circuit with an independent predictor of the XOR of its
-   outputs (cf. Fault.Countermeasure.parity_protect, rebuilt here so the
-   masked variant can keep its masked descriptor attached). *)
+   outputs (cf. Fault.Countermeasure.parity_protect). *)
 let add_parity source =
   let prot = Fault.Countermeasure.parity_protect source in
   prot.Fault.Countermeasure.circuit
 
 let build point =
   let source = Sidechannel.Leakage.private_and_source () in
+  let masked () = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
   match point with
-  | Baseline -> { point; circuit = source; masked = None; alarm = None }
-  | Masked ->
-    let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    { point; circuit = m.circuit; masked = Some m; alarm = None }
-  | Parity ->
-    { point; circuit = add_parity source; masked = None; alarm = Some "alarm" }
-  | Masked_and_parity ->
-    let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    let protected_c = add_parity m.circuit in
-    let m = Isw.rebind m protected_c in
-    { point; circuit = protected_c; masked = Some m; alarm = Some "alarm" }
-
-(* Input vector for secrets (a, b), drawing shares/randomness when masked. *)
-let stimulus rng design ~a ~b =
-  match design.masked with
-  | Some m -> Isw.input_vector rng m ~values:[ ("a", a); ("b", b) ]
-  | None -> [| a; b |]
+  | Baseline -> { point; circuit = source; alarm = None }
+  | Masked -> { point; circuit = masked (); alarm = None }
+  | Parity -> { point; circuit = add_parity source; alarm = Some "alarm" }
+  | Masked_and_parity -> { point; circuit = add_parity (masked ()); alarm = Some "alarm" }
 
 (** First-order TVLA max |t| under the Hamming-weight model. *)
 let tvla_max_t rng design ~traces_per_class ~noise_sigma =
@@ -83,6 +69,7 @@ let fault_detection_rate rng design ~injections =
       find 0
     in
     let n = Circuit.node_count c in
+    let st = Isw.stimulus c in
     let detected = ref 0 and corrupting = ref 0 in
     let attempts = ref 0 in
     while !corrupting < injections && !attempts < 50 * injections do
@@ -92,8 +79,7 @@ let fault_detection_rate rng design ~injections =
        | Gate.Input | Gate.Const _ | Gate.Dff -> ()
        | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or | Gate.Nor
        | Gate.Xor | Gate.Xnor | Gate.Mux ->
-         let a = Rng.bool rng and b = Rng.bool rng in
-         let vec = stimulus rng design ~a ~b in
+         let vec = Isw.vector st rng ~value:(fun _ -> Rng.bool rng) in
          let golden = Netlist.Sim.eval c vec in
          let faulty =
            Fault.Model.eval_faulty c ~faults:[ Fault.Model.Bit_flip { node } ] vec

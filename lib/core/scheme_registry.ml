@@ -45,8 +45,7 @@ let run_iflow rng =
 let run_masking rng =
   let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
   let r =
-    Sidechannel.Secure_synth.assess rng masked.Synth.Masking.circuit ~traces_per_class:1500
-      ~noise_sigma:0.3
+    Sidechannel.Secure_synth.assess rng masked ~traces_per_class:1500 ~noise_sigma:0.3
   in
   Printf.sprintf "ISW masking: TVLA max|t| = %.2f (pass < 4.5)" r.Sidechannel.Tvla.max_abs_t
 
@@ -123,8 +122,7 @@ let run_security_monitor rng =
 let run_tvla rng =
   let unaware = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
   let r =
-    Sidechannel.Secure_synth.assess rng unaware.Synth.Masking.circuit ~traces_per_class:1500
-      ~noise_sigma:0.3
+    Sidechannel.Secure_synth.assess rng unaware ~traces_per_class:1500 ~noise_sigma:0.3
   in
   Printf.sprintf "TVLA (layout-level model): max|t| = %.2f (threshold 4.5)" r.Sidechannel.Tvla.max_abs_t
 

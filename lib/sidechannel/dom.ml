@@ -20,24 +20,22 @@
     share-wise and free; each AND level costs one cycle. For simplicity
     every AND output is registered (also the convention in the original
     DOM pipeline), and non-AND values crossing a register level get
-    pipeline registers so all paths stay aligned. *)
+    pipeline registers so all paths stay aligned.
+
+    Net names follow the {!Synth.Masking} contract: share [k] of input or
+    output [x] is [x_s<k>], every other created net (randomness inputs
+    included) carries the [dom_] gadget prefix — so {!Isw.stimulus} and
+    [Secure_synth.assess] drive DOM circuits like any other. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
-module Rng = Eda_util.Rng
 
 type masked = {
   circuit : Circuit.t;
-  shares : int;
   latency : int;  (* clock cycles until outputs are valid *)
-  input_shares : (string * int array) list;
-  random_inputs : int array;
-  output_shares : (string * string array) list;
 }
 
 let prefix = "dom_"
-
-let protected_name name = String.length name >= 4 && String.sub name 0 4 = prefix
 
 let transform ?(shares = 2) source =
   assert (shares >= 2);
@@ -49,35 +47,20 @@ let transform ?(shares = 2) source =
     incr counter;
     Printf.sprintf "%s%s_%d" prefix tag !counter
   in
-  let input_shares =
-    Array.to_list (Circuit.inputs src)
-    |> List.map (fun id ->
-        let base = Circuit.name src id in
-        let ids =
-          Array.init shares (fun s ->
-              Circuit.add_input ~name:(Printf.sprintf "%s_d%d" base s) c)
-        in
-        base, ids)
-  in
-  let random_inputs = ref [] in
-  let fresh_random () =
-    let id = Circuit.add_input ~name:(fresh "z") c in
-    random_inputs := id :: !random_inputs;
-    id
-  in
+  let fresh_random () = Circuit.add_input ~name:(fresh "z") c in
   let gate kind fanins = Circuit.add_node_raw c kind (Array.of_list fanins) (fresh (Gate.name kind)) in
-  let register node =
-    let ff = Circuit.add_dff ~name:(fresh "reg") c ~d:node in
-    ff
-  in
+  let register node = Circuit.add_dff ~name:(fresh "reg") c ~d:node in
   (* Per source node: its share vector and its pipeline level. *)
   let share_map = Hashtbl.create 64 in
   let level_map = Hashtbl.create 64 in
-  List.iteri
-    (fun k (_, ids) ->
-      Hashtbl.replace share_map (Circuit.inputs src).(k) ids;
-      Hashtbl.replace level_map (Circuit.inputs src).(k) 0)
-    input_shares;
+  Array.iter
+    (fun id ->
+      let base = Circuit.name src id in
+      Hashtbl.replace share_map id
+        (Array.init shares (fun s ->
+             Circuit.add_input ~name:(Printf.sprintf "%s_s%d" base s) c));
+      Hashtbl.replace level_map id 0)
+    (Circuit.inputs src);
   (* Delay a share vector by [cycles] pipeline registers. *)
   let rec delay_to target_level current_level vec =
     if current_level >= target_level then vec
@@ -145,75 +128,32 @@ let transform ?(shares = 2) source =
       invalid_arg "Dom.transform: circuit not in AND/XOR/NOT basis"
   done;
   (* Align every output to the global latency. *)
-  let output_shares =
-    Array.to_list (Circuit.outputs src)
-    |> List.map (fun (nm, o) ->
-        let vec = delay_to !max_level (Hashtbl.find level_map o) (Hashtbl.find share_map o) in
-        let names =
-          Array.mapi
-            (fun s id ->
-              let out_name = Printf.sprintf "%s_d%d" nm s in
-              Circuit.set_output c out_name id;
-              out_name)
-            vec
-        in
-        nm, names)
-  in
-  { circuit = c;
-    shares;
-    latency = !max_level;
-    input_shares;
-    random_inputs = Array.of_list (List.rev !random_inputs);
-    output_shares }
+  Array.iter
+    (fun (nm, o) ->
+      let vec = delay_to !max_level (Hashtbl.find level_map o) (Hashtbl.find share_map o) in
+      Array.iteri (fun s id -> Circuit.set_output c (Printf.sprintf "%s_s%d" nm s) id) vec)
+    (Circuit.outputs src);
+  { circuit = c; latency = !max_level }
 
 (** Evaluate on original input [values]: shares and randomness drawn
     fresh, the pipeline clocked [latency] + 1 cycles with inputs held,
     outputs decoded from the share registers. *)
 let eval rng masked ~values =
   let c = masked.circuit in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
-  let vec = Array.make (Circuit.num_inputs c) false in
-  List.iter
-    (fun (name, ids) ->
-      let value =
-        match List.assoc_opt name values with
-        | Some v -> v
-        | None -> invalid_arg (Printf.sprintf "Dom.eval: missing input %s" name)
-      in
-      let sh = Isw.encode rng ~shares:masked.shares value in
-      Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
-    masked.input_shares;
-  Array.iter (fun id -> vec.(pos_of id) <- Rng.bool rng) masked.random_inputs;
+  let st = Isw.stimulus c in
+  let vec = Isw.vector st rng ~value:(Isw.value_of values) in
   let state = ref (Array.make (Circuit.num_dffs c) false) in
-  let outs = ref [||] in
   for _ = 0 to masked.latency do
-    let o, next = Netlist.Sim.step c ~state:!state vec in
-    outs := o;
-    state := next
+    state := snd (Netlist.Sim.step c ~state:!state vec)
   done;
   (* One more settle: outputs read the registered values combinationally. *)
-  let o, _ = Netlist.Sim.step c ~state:!state vec in
-  outs := o;
-  let out_positions =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos (nm, _) -> Hashtbl.replace tbl nm pos) (Circuit.outputs c);
-    tbl
-  in
-  List.map
-    (fun (nm, share_names) ->
-      let bits = Array.map (fun sn -> !outs.(Hashtbl.find out_positions sn)) share_names in
-      nm, Isw.decode bits)
-    masked.output_shares
+  Isw.decode_outputs st (fst (Netlist.Sim.step c ~state:!state vec))
 
 (** Cost comparison vs ISW at the same share count, for the ablation. *)
 type cost = { area : float; randoms : int; latency : int; registers : int }
 
 let cost masked =
   { area = (Circuit.stats masked.circuit).Circuit.area;
-    randoms = Array.length masked.random_inputs;
+    randoms = Array.length (Synth.Masking.interface_of masked.circuit).Synth.Masking.randoms;
     latency = masked.latency;
     registers = Circuit.num_dffs masked.circuit }

@@ -3,30 +3,14 @@
 
     Every secret value is split into t+1 XOR shares. The masked circuits
     themselves are built by [Synth.Masking.transform] (ISW is its default
-    gadget style); this module encodes and decodes shares and drives a
-    {!Synth.Masking.masked} descriptor with original input values. *)
+    gadget style) or [Dom.transform]; this module encodes and decodes
+    shares and drives any circuit through its net names
+    ({!Synth.Masking.interface_of}): [<base>_s<k>] share groups,
+    gadget-prefixed randomness, unshared values. *)
 
 module Circuit = Netlist.Circuit
 module Masking = Synth.Masking
 module Rng = Eda_util.Rng
-
-(** Re-attach a masked descriptor to a synthesized version of its circuit:
-    node ids change across synthesis passes, but share and randomness input
-    names are preserved, so they are re-resolved by name. *)
-let rebind (masked : Masking.masked) circuit =
-  let resolve nm =
-    match Circuit.find_by_name circuit nm with
-    | Some id -> id
-    | None -> invalid_arg (Printf.sprintf "Isw.rebind: input %s lost by synthesis" nm)
-  in
-  let rebind_ids old_circuit ids =
-    Array.map (fun id -> resolve (Circuit.name old_circuit id)) ids
-  in
-  { masked with
-    circuit;
-    input_shares =
-      List.map (fun (nm, ids) -> nm, rebind_ids masked.circuit ids) masked.input_shares;
-    random_inputs = rebind_ids masked.circuit masked.random_inputs }
 
 (** Split [value] into [shares] random XOR shares. *)
 let encode rng ~shares value =
@@ -37,45 +21,52 @@ let encode rng ~shares value =
 
 let decode sh = Array.fold_left ( <> ) false sh
 
-(** Build the full input vector of the masked circuit from original input
-    values: shares drawn fresh, randomness drawn fresh. The vector order
-    matches the masked circuit's input declaration order. *)
-let input_vector rng (masked : Masking.masked) ~values =
-  let c = masked.circuit in
-  let total = Circuit.num_inputs c in
-  let vec = Array.make total false in
-  (* Synthesis may reorder inputs, so translate node ids to input
-     positions via the declaration order. *)
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
+type stimulus = {
+  circuit : Circuit.t;
+  secrets : (string * int array) list;
+  randoms : int array;
+  outputs : (string * int array) list;
+}
+
+(** Resolve a circuit's named interface to input and output positions. *)
+let stimulus c =
+  let pos = Hashtbl.create 64 in
+  Array.iteri (fun p id -> Hashtbl.replace pos id p) (Circuit.inputs c);
+  let at = Array.map (Hashtbl.find pos) in
+  let iface = Masking.interface_of c in
+  { circuit = c;
+    secrets = List.map (fun (nm, ids) -> nm, at ids) iface.Masking.secrets;
+    randoms = at iface.Masking.randoms;
+    outputs =
+      Masking.group_shares
+        (List.mapi (fun p (nm, _) -> nm, p) (Array.to_list (Circuit.outputs c))) }
+
+(** One input vector: per secret, [value name] and then its fresh
+    shares (an unshared secret takes the value directly); then fresh
+    randomness. *)
+let vector st rng ~value =
+  let vec = Array.make (Circuit.num_inputs st.circuit) false in
   List.iter
-    (fun (name, ids) ->
-      let value =
-        match List.assoc_opt name values with
-        | Some v -> v
-        | None -> invalid_arg (Printf.sprintf "Isw.input_vector: missing input %s" name)
-      in
-      let sh = encode rng ~shares:masked.shares value in
-      Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
-    masked.input_shares;
-  Array.iter (fun id -> vec.(pos_of id) <- Rng.bool rng) masked.random_inputs;
+    (fun (nm, ps) ->
+      let v = value nm in
+      if Array.length ps = 1 then vec.(ps.(0)) <- v
+      else Array.iteri (fun s b -> vec.(ps.(s)) <- b) (encode rng ~shares:(Array.length ps) v))
+    st.secrets;
+  Array.iter (fun p -> vec.(p) <- Rng.bool rng) st.randoms;
   vec
 
-(** Evaluate the masked circuit on original input [values] with fresh
-    masking randomness, decoding each output from its shares. *)
-let eval rng (masked : Masking.masked) ~values =
-  let vec = input_vector rng masked ~values in
-  let outs = Netlist.Sim.eval masked.circuit vec in
-  let out_positions =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos (nm, _) -> Hashtbl.replace tbl nm pos) (Circuit.outputs masked.circuit);
-    tbl
-  in
-  List.map
-    (fun (nm, share_names) ->
-      let bits = Array.map (fun sn -> outs.(Hashtbl.find out_positions sn)) share_names in
-      nm, decode bits)
-    masked.output_shares
+let class_value rng cls _ = match cls with `Fixed -> true | `Random -> Rng.bool rng
+
+let value_of values nm =
+  match List.assoc_opt nm values with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "Isw: missing input %s" nm)
+
+let decode_outputs st outs =
+  List.map (fun (nm, ps) -> nm, decode (Array.map (fun p -> outs.(p)) ps)) st.outputs
+
+(** Evaluate a combinational circuit on original input [values] with
+    fresh masking, decoding each output from its shares. *)
+let eval rng c ~values =
+  let st = stimulus c in
+  decode_outputs st (Netlist.Sim.eval c (vector st rng ~value:(value_of values)))

@@ -1,12 +1,14 @@
 (** ISW share codec and stimulus for masked circuits — the scheme of the
     paper's motivational example. Secrets are split into XOR shares; the
     masked circuits are built by [Synth.Masking.transform], whose default
-    gadget style is ISW. *)
+    gadget style is ISW, or by [Dom.transform].
 
-(** Re-attach a masked descriptor to a synthesized version of its circuit:
-    ids change across passes, input names do not.
-    @raise Invalid_argument if synthesis dropped a share/random input. *)
-val rebind : Synth.Masking.masked -> Netlist.Circuit.t -> Synth.Masking.masked
+    The stimulus drives any circuit — ISW, DOM, region-masked or
+    unmasked — through its net names ({!Synth.Masking.interface_of}):
+    [<base>_s<k>] share groups, gadget-prefixed randomness, unshared
+    values. It is the one masked-circuit input builder: TVLA sign-off,
+    the glitch, mask-failure and per-wire campaigns, composition fault
+    injection and functional evaluation all draw through {!vector}. *)
 
 (** Split [value] into fresh random XOR shares. *)
 val encode : Eda_util.Rng.t -> shares:int -> bool -> bool array
@@ -14,12 +16,36 @@ val encode : Eda_util.Rng.t -> shares:int -> bool -> bool array
 (** XOR-recombine shares. *)
 val decode : bool array -> bool
 
-(** Full input vector for the masked circuit from original input [values]
-    (shares and mask randomness drawn fresh from [rng]). *)
-val input_vector :
-  Eda_util.Rng.t -> Synth.Masking.masked -> values:(string * bool) list -> bool array
+(** A circuit's named interface resolved to positions, once per circuit. *)
+type stimulus = private {
+  circuit : Netlist.Circuit.t;
+  secrets : (string * int array) list;
+      (** per secret: its share input positions ([|p|] when unshared) *)
+  randoms : int array;  (** masking-randomness input positions *)
+  outputs : (string * int array) list;
+      (** per original output: its share output positions *)
+}
 
-(** Evaluate on original inputs with fresh masking; outputs are decoded
-    from their shares. *)
+val stimulus : Netlist.Circuit.t -> stimulus
+
+(** One input vector. Per secret, in interface order: [value name], then
+    the secret's fresh shares from [rng] (an unshared secret takes the
+    value directly); then fresh randomness for every randomness input. *)
+val vector : stimulus -> Eda_util.Rng.t -> value:(string -> bool) -> bool array
+
+(** [class_value rng cls] is the TVLA secret of one trace: true in the
+    fixed class, uniform from [rng] in the random class. *)
+val class_value : Eda_util.Rng.t -> [ `Fixed | `Random ] -> string -> bool
+
+(** A secret's value from an association list.
+    @raise Invalid_argument naming a missing input. *)
+val value_of : (string * bool) list -> string -> bool
+
+(** Output values ([Netlist.Sim] order) decoded per original output. *)
+val decode_outputs : stimulus -> bool array -> (string * bool) list
+
+(** Evaluate a combinational circuit on original input [values] with fresh
+    masking; outputs are decoded from their shares.
+    @raise Invalid_argument on a missing input. *)
 val eval :
-  Eda_util.Rng.t -> Synth.Masking.masked -> values:(string * bool) list -> (string * bool) list
+  Eda_util.Rng.t -> Netlist.Circuit.t -> values:(string * bool) list -> (string * bool) list

@@ -31,17 +31,14 @@ type variant = Security_aware | Security_unaware
 
 (** Masked-and-synthesized circuit for one flow variant. *)
 let synthesize_masked ?(shares = 3) variant =
-  let masked = Masking.transform ~shares (private_and_source ()) in
-  let circuit =
-    match variant with
-    | Security_aware ->
-      (* The aware flow always fences the mg_ gadget internals. *)
-      Synth.Flow.optimize_secure masked.circuit
-    | Security_unaware ->
-      (* The classical flow is free to re-associate (Fig. 2). *)
-      Synth.Xor_reassoc.run masked.circuit
-  in
-  Isw.rebind masked circuit
+  let masked = (Masking.transform ~shares (private_and_source ())).Masking.circuit in
+  match variant with
+  | Security_aware ->
+    (* The aware flow always fences the mg_ gadget internals. *)
+    Synth.Flow.optimize_secure masked
+  | Security_unaware ->
+    (* The classical flow is free to re-associate (Fig. 2). *)
+    Synth.Xor_reassoc.run masked
 
 (** Secret inputs (a, b) of one trace: (1, 1) in the fixed class, uniform
     in the random class. *)
@@ -49,31 +46,23 @@ let secrets rng = function
   | `Fixed -> true, true
   | `Random -> Rng.bool rng, Rng.bool rng
 
+(* The campaigns below drive any circuit through its net names
+   ({!Isw.stimulus}): fixed class all secrets true, random class uniform,
+   shares and masking randomness fresh per trace. *)
+
 (** Glitch-aware variant: traces from the delay-annotated event simulation,
     with inputs switching from an all-zero reference state.
     [mask_skew_ps > 0] delays the arrival of the masking randomness inputs
     by that much — the late-mask-refresh scenario in which share products
     are transiently combined before the fresh randomness lands, the classic
     glitch-leakage mechanism of [55] (Sec. III-E). *)
-let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng (masked : Masking.masked)
-    ~traces_per_class ~config =
-  let c = masked.circuit in
+let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng c ~traces_per_class ~config =
+  let st = Isw.stimulus c in
   let ni = Circuit.num_inputs c in
-  let input_arrivals =
-    let arr = Array.make ni 0.0 in
-    if mask_skew_ps > 0.0 then begin
-      let pos_of =
-        let tbl = Hashtbl.create 16 in
-        Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-        fun id -> Hashtbl.find tbl id
-      in
-      Array.iter (fun id -> arr.(pos_of id) <- mask_skew_ps) masked.random_inputs
-    end;
-    arr
-  in
+  let input_arrivals = Array.make ni 0.0 in
+  Array.iter (fun p -> input_arrivals.(p) <- mask_skew_ps) st.Isw.randoms;
   let collect stream cls =
-    let a, b = secrets stream cls in
-    let next = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
+    let next = Isw.vector st stream ~value:(Isw.class_value stream cls) in
     Power.Model.trace stream c ~config ~input_arrivals ~prev_inputs:(Array.make ni false)
       ~next_inputs:next
   in
@@ -85,19 +74,13 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng (masked : Masking.masked)
     "masked" circuit leaks like an unmasked one; this is the limit case of
     the timing-model question of Sec. III-E (a mask that arrives after the
     evaluation window is as good as no mask). *)
-let tvla_campaign_mask_failure rng (masked : Masking.masked) ~traces_per_class ~noise_sigma =
-  let c = masked.circuit in
+let tvla_campaign_mask_failure rng c ~traces_per_class ~noise_sigma =
+  let st = Isw.stimulus c in
   (* shared: without a pool the campaign runs its traces one at a time *)
   let scratch = Array.make (Circuit.node_count c) false in
-  let pos_of =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
   let collect stream cls =
-    let a, b = secrets stream cls in
-    let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
-    Array.iter (fun id -> vec.(pos_of id) <- false) masked.random_inputs;
+    let vec = Isw.vector st stream ~value:(Isw.class_value stream cls) in
+    Array.iter (fun p -> vec.(p) <- false) st.Isw.randoms;
     [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
   in
   Tvla.campaign_seeded rng ~traces_per_class ~collect
@@ -105,12 +88,11 @@ let tvla_campaign_mask_failure rng (masked : Masking.masked) ~traces_per_class ~
 (** Find the most leaking internal wire of a masked circuit: one campaign
     whose trace is the vector of node values, so each node gets its own
     fixed-vs-random t. Identifies the factored wire of Fig. 2 by name. *)
-let leakiest_wire rng (masked : Masking.masked) ~samples =
-  let c = masked.circuit in
+let leakiest_wire rng c ~samples =
+  let st = Isw.stimulus c in
   let values = Array.make (Circuit.node_count c) false in
   let collect stream cls =
-    let a, b = secrets stream cls in
-    let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
+    let vec = Isw.vector st stream ~value:(Isw.class_value stream cls) in
     Netlist.Sim.eval_all_into c vec ~into:values;
     Array.map (fun v -> if v then 1.0 else 0.0) values
   in

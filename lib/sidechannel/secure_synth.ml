@@ -10,61 +10,26 @@
     explicit: call {!register} once (the CLI and tests do) before asking
     the registry for [tvla_check] or [secure_synthesis].
 
-    The assessment harness is interface-generic via
-    {!Synth.Masking.interface_of}: share-group inputs are re-encoded from
-    the secret per trace, [mg_]/[dom_] inputs draw fresh
-    randomness, unshared inputs carry the secret directly. One harness
-    therefore assesses masked and unmasked circuits alike — which is how
-    {!verify} can also assert that the {e unmasked} design fails the very
-    check the masked one passes. *)
+    The assessment drives the circuit through its net names
+    ({!Isw.stimulus}): share groups are re-encoded from the secret per
+    trace, gadget randomness is fresh per trace, unshared inputs carry
+    the secret directly. One assessment therefore covers masked and
+    unmasked circuits alike — which is how {!verify} can also assert
+    that the {e unmasked} design fails the very check the masked one
+    passes. *)
 
 module Circuit = Netlist.Circuit
 module Rng = Eda_util.Rng
-module Masking = Synth.Masking
-
-(* Randomness inputs of any recognised gadget family: the same prefixes
-   the security-aware recipes fence. *)
-let is_random_input name =
-  List.exists (fun prefix -> String.starts_with ~prefix name) Synth.Pipeline.gadget_prefixes
-
-(* The assessed interface: share groups re-encoded per trace, gadget
-   randomness refreshed per trace, unshared inputs carrying the secret. *)
-let harness c =
-  let iface = Masking.interface_of c in
-  let secrets, extra_randoms =
-    List.partition (fun (nm, _) -> not (is_random_input nm)) iface.Masking.secrets
-  in
-  let randoms =
-    Array.append iface.Masking.randoms
-      (Array.concat (List.map snd extra_randoms))
-  in
-  (secrets, randoms)
 
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit.
     Fixed class: every secret input true; random class: uniform secrets.
     Masking randomness is fresh in both classes. Bit-identical at any
     pool size (see {!Tvla.campaign_seeded}). *)
 let assess ?pool rng c ~traces_per_class ~noise_sigma =
-  let secrets, randoms = harness c in
+  let st = Isw.stimulus c in
   let nodes = Circuit.node_count c in
-  let ni = Circuit.num_inputs c in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
   let collect stream cls =
-    let vec = Array.make ni false in
-    List.iter
-      (fun (_, ids) ->
-        let value = match cls with `Fixed -> true | `Random -> Rng.bool stream in
-        if Array.length ids = 1 then vec.(pos_of ids.(0)) <- value
-        else begin
-          let sh = Isw.encode stream ~shares:(Array.length ids) value in
-          Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids
-        end)
-      secrets;
-    Array.iter (fun id -> vec.(pos_of id) <- Rng.bool stream) randoms;
+    let vec = Isw.vector st stream ~value:(Isw.class_value stream cls) in
     let scratch = Array.make nodes false in
     [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
   in
@@ -126,7 +91,7 @@ let secure_synthesis =
        style, seed, region, traces, noise_sigma)"
     [ Synth.Pipeline.pass "mask_insertion";
       Synth.Pipeline.Protect
-        { prefixes = Synth.Pipeline.gadget_prefixes;
+        { prefixes = Synth.Masking.gadget_prefixes;
           body =
             [ Synth.Pipeline.pass "constant_propagation";
               Synth.Pipeline.pass "strash";

@@ -6,10 +6,10 @@
     [lib/synth] in the dependency order. *)
 
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit,
-    masked or not. The interface is recovered by name
-    ({!Synth.Masking.interface_of}): share groups are re-encoded from the
-    secret per trace, gadget randomness ([mg_]/[dom_] inputs) is
-    fresh per trace, unshared inputs carry the secret directly. Fixed
+    masked or not, driven through its net names ({!Isw.stimulus}):
+    share groups are re-encoded from the secret per trace, gadget
+    randomness ([mg_]/[dom_] inputs) is fresh per trace, unshared inputs
+    carry the secret directly. Fixed
     class: all secrets true; random class: uniform. Bit-identical at any
     pool size. This is the one first-order Hamming-weight fixed-vs-random
     harness: the Fig. 2 contrast, sign-off and the CLI all run it. *)

@@ -13,6 +13,6 @@ val optimize : ?reassoc:bool -> Netlist.Circuit.t -> Netlist.Circuit.t
 
 (** Security-aware variant: nodes whose name satisfies [protect] are copied
     verbatim — never merged, simplified or re-associated. The standard
-    masked-gadget prefixes ({!Pipeline.gadget_prefixes}) are always fenced,
+    masked-gadget prefixes ({!Masking.gadget_prefixes}) are always fenced,
     with or without [protect]. *)
 val optimize_secure : ?protect:(string -> bool) -> Netlist.Circuit.t -> Netlist.Circuit.t

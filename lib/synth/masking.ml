@@ -61,7 +61,6 @@ type masked = {
   style : style;
   input_shares : (string * int array) list;
   random_inputs : int array;
-  output_shares : (string * string array) list;
 }
 
 let prefix = "mg_"
@@ -180,21 +179,13 @@ let transform ?(shares = 3) ?(style = Isw) ?(seed = 0) source =
     | Gate.Buf | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xnor | Gate.Mux | Gate.Dff ->
       invalid_arg "Masking.transform: circuit not in AND/XOR/NOT basis"
   done;
-  let output_shares =
-    Array.to_list (Circuit.outputs src)
-    |> List.map (fun (nm, o) ->
-        let ids = Hashtbl.find share_map o in
-        let names =
-          Array.mapi
-            (fun s id ->
-              let out_name = Printf.sprintf "%s_s%d" nm s in
-              Circuit.set_output c out_name id;
-              out_name)
-            ids
-        in
-        nm, names)
-  in
-  { circuit = c; shares; style; input_shares; random_inputs; output_shares }
+  Array.iter
+    (fun (nm, o) ->
+      Array.iteri
+        (fun s id -> Circuit.set_output c (Printf.sprintf "%s_s%d" nm s) id)
+        (Hashtbl.find share_map o))
+    (Circuit.outputs src);
+  { circuit = c; shares; style; input_shares; random_inputs }
 
 (* --- Region splicing --------------------------------------------------- *)
 
@@ -347,6 +338,13 @@ let mask_region ?(shares = 3) ?(style = Isw) ?(seed = 0) c ~region =
 
 (* --- Interface recovery ------------------------------------------------ *)
 
+(** Net-name prefixes of masked-gadget internals and randomness inputs:
+    [mg_] for this pass, [dom_] for the registered DOM transform. *)
+let gadget_prefixes = [ "dom_"; prefix ]
+
+let is_gadget_net name =
+  List.exists (fun prefix -> String.starts_with ~prefix name) gadget_prefixes
+
 type iface = {
   secrets : (string * int array) list;
       (** per original input: its share input ids ([|id|] when unshared) *)
@@ -366,34 +364,32 @@ let share_pattern nm =
        | Some k when k >= 0 -> Some (String.sub nm 0 u, k)
        | _ -> None)
 
+(** Group named items into share vectors by [<base>_s<k>], ordered by
+    [k], bases in first-seen order; any other name is its own one-item
+    group. *)
+let group_shares named =
+  let groups = ref [] in  (* (base, (k, x) list) in first-seen order, reversed *)
+  List.iter
+    (fun (nm, x) ->
+      let base, k = Option.value (share_pattern nm) ~default:(nm, -1) in
+      match List.assoc_opt base !groups with
+      | Some members -> members := (k, x) :: !members
+      | None -> groups := (base, ref [ (k, x) ]) :: !groups)
+    named;
+  List.rev_map
+    (fun (base, members) ->
+      base, Array.of_list (List.map snd (List.sort compare !members)))
+    !groups
+
 (** Reconstruct the masked interface of a circuit from its input names:
-    [mg_]-prefixed inputs are masking randomness, [<base>_s<k>] groups are
-    share vectors, anything else is an unshared secret. Works on the
-    output of {!transform}, of {!mask_region}, and on plain unmasked
-    circuits (everything lands in [secrets]) — the basis for running one
-    TVLA harness over masked and unmasked designs alike. *)
+    gadget-prefixed inputs are masking randomness, [<base>_s<k>] groups
+    are share vectors, anything else is an unshared secret. Works on the
+    output of {!transform}, of {!mask_region}, of the DOM transform, and
+    on plain unmasked circuits (everything lands in [secrets]). *)
 let interface_of c =
-  let randoms = ref [] in
-  let groups = ref [] in  (* (base, (k, id) list) in first-seen order, reversed *)
-  let add_share base k id =
-    match List.assoc_opt base !groups with
-    | Some members -> members := (k, id) :: !members
-    | None -> groups := (base, ref [ (k, id) ]) :: !groups
+  let randoms, named =
+    Array.to_list (Circuit.inputs c)
+    |> List.map (fun id -> Circuit.name c id, id)
+    |> List.partition (fun (nm, _) -> is_gadget_net nm)
   in
-  Array.iter
-    (fun id ->
-      let nm = Circuit.name c id in
-      if protected_name nm then randoms := id :: !randoms
-      else
-        match share_pattern nm with
-        | Some (base, k) -> add_share base k id
-        | None -> add_share nm (-1) id)
-    (Circuit.inputs c);
-  let secrets =
-    List.rev_map
-      (fun (base, members) ->
-        let sorted = List.sort compare !members in
-        base, Array.of_list (List.map snd sorted))
-      !groups
-  in
-  { secrets; randoms = Array.of_list (List.rev !randoms) }
+  { secrets = group_shares named; randoms = Array.of_list (List.map snd randoms) }

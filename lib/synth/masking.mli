@@ -32,8 +32,6 @@ type masked = {
   input_shares : (string * int array) list;
       (** per original input, its share input ids in order *)
   random_inputs : int array;  (** randomness inputs, declaration order *)
-  output_shares : (string * string array) list;
-      (** per original output, its share output names *)
 }
 
 val prefix : string
@@ -68,6 +66,23 @@ val mask_region :
   region:string ->
   Netlist.Circuit.t
 
+(** {2 The masked-interface naming contract}
+
+    Net names are the one interface between a masked circuit and
+    everything that drives or assesses it: share [k] of secret [x] is
+    named [x_s<k>] (inputs and outputs alike), masking randomness carries
+    a gadget prefix, anything else is an unshared value. *)
+
+(** Net-name prefixes of masked-gadget internals and randomness
+    ([dom_]/[mg_]): the standard fence of security-aware recipes and the
+    randomness test of {!interface_of}. *)
+val gadget_prefixes : string list
+
+(** Group named items into share vectors by [<base>_s<k>], ordered by
+    [k], bases in first-seen order; any other name is its own one-item
+    group. *)
+val group_shares : (string * 'a) list -> (string * 'a array) list
+
 (** A circuit's input interface as seen by a leakage assessment. *)
 type iface = {
   secrets : (string * int array) list;
@@ -75,9 +90,9 @@ type iface = {
   randoms : int array;  (** masking-randomness inputs, declaration order *)
 }
 
-(** Recover the masked interface from input names: [mg_*] inputs are
-    masking randomness, [<base>_s<k>] groups are share vectors, anything
-    else is an unshared secret. Works on {!transform} output,
-    {!mask_region} output and plain unmasked circuits alike — the basis
-    for running one TVLA harness over all of them. *)
+(** Recover the masked interface from input names: gadget-prefixed
+    inputs ({!gadget_prefixes}) are masking randomness, [<base>_s<k>]
+    groups are share vectors, anything else is an unshared secret. Works
+    on {!transform} output, {!mask_region} output, the DOM transform's
+    output and plain unmasked circuits alike. *)
 val interface_of : Netlist.Circuit.t -> iface

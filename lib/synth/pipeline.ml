@@ -161,10 +161,6 @@ let run_recipe ?budget ?pool ?protect ?params ?observe name c =
 
 (* --- Builtin recipes --------------------------------------------------- *)
 
-(** Net-name prefixes of masked-gadget internals; the standard fence for
-    security-aware recipes. *)
-let gadget_prefixes = [ "dom_"; "mg_" ]
-
 let () =
   register
     (make ~name:"optimize"
@@ -185,5 +181,5 @@ let () =
          "Security-aware flow: the same passes behind a protect fence over \
           masked-gadget internals (dom_/mg_) plus any caller fence"
        [ Protect
-           { prefixes = gadget_prefixes;
+           { prefixes = Masking.gadget_prefixes;
              body = [ pass "constant_propagation"; pass "strash"; pass "xor_reassoc" ] } ])

@@ -372,30 +372,30 @@ let test_dom_registers_cross_terms () =
   (* Same randomness budget at equal share count. *)
   Alcotest.(check int) "same randomness"
     (Array.length isw.Synth.Masking.random_inputs)
-    (Array.length dom.Sidechannel.Dom.random_inputs)
+    (Sidechannel.Dom.cost dom).Sidechannel.Dom.randoms
 
-let test_dom_first_order_passes () =
+let test_dom_interface_by_name () =
+  (* DOM names its shares like Synth.Masking does, so the name-driven
+     interface sees two 2-share secrets and dom_ randomness. *)
   let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
   let c = dom.Sidechannel.Dom.circuit in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
+  let iface = Synth.Masking.interface_of c in
+  Alcotest.(check (list (pair string int))) "two 2-share secrets"
+    [ ("a", 2); ("b", 2) ]
+    (List.map (fun (nm, ids) -> nm, Array.length ids) iface.Synth.Masking.secrets);
+  Alcotest.(check bool) "dom_ randomness" true
+    (Array.length iface.Synth.Masking.randoms > 0
+     && Array.for_all
+          (fun id -> String.starts_with ~prefix:"dom_" (Circuit.name c id))
+          iface.Synth.Masking.randoms)
+
+let test_dom_first_order_passes () =
+  (* Leakage: HW of the settled combinational state in cycle 0. *)
+  let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let r =
+    Sidechannel.Secure_synth.assess (Rng.create 62) dom.Sidechannel.Dom.circuit
+      ~traces_per_class:4000 ~noise_sigma:0.1
   in
-  let collect stream cls =
-    let a, b = Sidechannel.Leakage.secrets stream cls in
-    let vec = Array.make (Circuit.num_inputs c) false in
-    List.iter
-      (fun (name, ids) ->
-        let v = if name = "a" then a else b in
-        let sh = Sidechannel.Isw.encode stream ~shares:2 v in
-        Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
-      dom.Sidechannel.Dom.input_shares;
-    Array.iter (fun id -> vec.(pos_of id) <- Rng.bool stream) dom.Sidechannel.Dom.random_inputs;
-    (* Leakage: HW of the settled combinational state in cycle 0. *)
-    [| Power.Model.hamming_weight_sample stream c ~noise_sigma:0.1 ~inputs:vec |]
-  in
-  let r = Sidechannel.Tvla.campaign_seeded (Rng.create 62) ~traces_per_class:4000 ~collect in
   Alcotest.(check bool) "first-order pass" false (Sidechannel.Tvla.leaks r)
 
 let () =
@@ -438,4 +438,5 @@ let () =
        [ Alcotest.test_case "and correct" `Quick test_dom_and_correct;
          Alcotest.test_case "pipeline levels" `Quick test_dom_multi_level_pipeline;
          Alcotest.test_case "register stage" `Quick test_dom_registers_cross_terms;
+         Alcotest.test_case "interface by name" `Quick test_dom_interface_by_name;
          Alcotest.test_case "first order" `Slow test_dom_first_order_passes ]) ]

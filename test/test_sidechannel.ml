@@ -35,7 +35,7 @@ let test_masked_and_correct () =
     let masked = Synth.Masking.transform ~shares (Leakage.private_and_source ()) in
     for _ = 1 to 100 do
       let a = Rng.bool rng and b = Rng.bool rng in
-      match Isw.eval rng masked ~values:[ ("a", a); ("b", b) ] with
+      match Isw.eval rng masked.Synth.Masking.circuit ~values:[ ("a", a); ("b", b) ] with
       | [ ("y", y) ] -> Alcotest.(check bool) "and" (a && b) y
       | _ -> Alcotest.fail "unexpected outputs"
     done
@@ -53,7 +53,8 @@ let test_masked_arbitrary_circuit () =
       List.mapi (fun k id -> Circuit.name src id, inputs.(k))
         (Array.to_list (Circuit.inputs src))
     in
-    let got = Isw.eval rng masked ~values in
+    let got = Isw.eval rng masked.Synth.Masking.circuit ~values in
+    Alcotest.(check int) "one decoded value per output" (Array.length expected) (List.length got);
     List.iteri
       (fun k (_, v) -> Alcotest.(check bool) (Printf.sprintf "m=%d out %d" m k) expected.(k) v)
       got
@@ -102,9 +103,7 @@ let test_fig2_unaware_leaks_aware_passes () =
   let rng = Rng.create 8 in
   let aware = Leakage.synthesize_masked Leakage.Security_aware in
   let unaware = Leakage.synthesize_masked Leakage.Security_unaware in
-  let assess (m : Synth.Masking.masked) =
-    Sidechannel.Secure_synth.assess rng m.circuit ~traces_per_class:2000 ~noise_sigma:0.3
-  in
+  let assess c = Sidechannel.Secure_synth.assess rng c ~traces_per_class:2000 ~noise_sigma:0.3 in
   let r_aware = assess aware in
   let r_unaware = assess unaware in
   Alcotest.(check bool) "aware passes" false (Tvla.leaks r_aware);
@@ -127,7 +126,18 @@ let test_leakiest_wire_is_internal_gate () =
   let rng = Rng.create 10 in
   let unaware = Leakage.synthesize_masked Leakage.Security_unaware in
   let _, t = Leakage.leakiest_wire rng unaware ~samples:2000 in
-  Alcotest.(check bool) "strongly leaking wire exists" true (t > Tvla.threshold)
+  Alcotest.(check bool) "strongly leaking wire exists" true (t > Tvla.threshold);
+  (* The campaigns read the interface from net names, so they run on any
+     masked design, not only the two-input Fig. 2 AND. *)
+  let c17 = (Synth.Masking.transform ~shares:2 (Netlist.Generators.c17 ())).Synth.Masking.circuit in
+  let finite name t = Alcotest.(check bool) (name ^ " |t| finite on masked c17") true (Float.is_finite t) in
+  finite "leakiest wire" (snd (Leakage.leakiest_wire rng c17 ~samples:200));
+  let cfg = { Power.Model.time_bins = 8; bin_width_ps = 50.0; noise_sigma = 0.2 } in
+  finite "glitch"
+    (Leakage.tvla_campaign_glitch rng c17 ~traces_per_class:200 ~config:cfg).Tvla.max_abs_t;
+  finite "mask failure"
+    (Leakage.tvla_campaign_mask_failure rng c17 ~traces_per_class:200 ~noise_sigma:0.3)
+      .Tvla.max_abs_t
 
 let test_cpa_recovers_key () =
   let rng = Rng.create 11 in
@@ -254,7 +264,7 @@ let prop_masked_eval_matches_source =
           (Array.to_list (Circuit.inputs src))
       in
       let expected = (Netlist.Sim.eval src inputs).(0) in
-      match Isw.eval rng masked ~values with
+      match Isw.eval rng masked.Synth.Masking.circuit ~values with
       | [ (_, y) ] -> y = expected
       | _ -> false)
 

@@ -96,12 +96,85 @@ let hamming_weight_sample rng ?scratch circuit ~noise_sigma ~inputs =
   done;
   !e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
 
-(** A batch of traces for a list of input-vector pairs. *)
-let trace_batch rng ?delay_of circuit ~config pairs =
-  List.map
-    (fun (prev_inputs, next_inputs) ->
-      trace rng ?delay_of circuit ~config ~prev_inputs ~next_inputs)
-    pairs
+(** Bit-sliced {!hamming_weight_sample} over up to 63 lanes. Applied to
+    [circuit] and [noise_sigma] it groups the nodes by distinct non-zero
+    [Gate.switch_energy] (classes in order of first occurrence); the
+    returned sampler takes one stream per lane and the input words (bit
+    [l] of word [p] is input [p] of lane [l]), evaluates all lanes with
+    one [Sim.eval_all_word_into], and adds every node's word into its
+    class's vertical counter: plane [p] holds bit [p] of every lane's
+    count. Nodes go in runs of 15 through a branch-free 4-plane partial
+    count, which is then ripple-added into the class planes. Lane [l]'s energy is Σ_k w_k·n_k,l, classes summed in order,
+    plus one [gaussian_scaled] draw from stream [l]. Buffers are
+    allocated per call, so concurrent calls share nothing. *)
+let hamming_weight_lanes circuit ~noise_sigma =
+  let n = Circuit.node_count circuit in
+  let energy i = Gate.switch_energy (Circuit.kind circuit i) in
+  let weights = ref [] in
+  for i = 0 to n - 1 do
+    let w = energy i in
+    if w <> 0.0 && not (List.mem w !weights) then weights := !weights @ [ w ]
+  done;
+  let weights = Array.of_list !weights in
+  let nodes = List.init n Fun.id in
+  let members =
+    Array.map (fun w -> Array.of_list (List.filter (fun i -> energy i = w) nodes)) weights
+  in
+  (* a class count is at most n, so planes [0, bits) never overflow; at
+     least 4 planes hold a flushed 4-bit partial count *)
+  let rec width b = if 1 lsl b > n then b else width (b + 1) in
+  let bits = width 4 in
+  fun streams inputs ->
+    let lanes = Array.length streams in
+    if lanes < 1 || lanes > 63 then invalid_arg "Power.Model.hamming_weight_lanes: 1 to 63 lanes";
+    let mask = if lanes = 63 then -1 else (1 lsl lanes) - 1 in
+    let values = Array.make n 0 in
+    Netlist.Sim.eval_all_word_into circuit inputs ~into:values;
+    let planes = Array.make (Array.length weights * bits) 0 in
+    Array.iteri
+      (fun k ids ->
+        let base = k * bits in
+        let m = Array.length ids in
+        let lo = ref 0 in
+        while !lo < m do
+          (* up to 15 nodes into a branch-free 4-plane partial count ... *)
+          let hi = min m (!lo + 15) in
+          let c0 = ref 0 and c1 = ref 0 and c2 = ref 0 and c3 = ref 0 in
+          for j = !lo to hi - 1 do
+            let x = values.(ids.(j)) land mask in
+            let y = !c0 land x in
+            c0 := !c0 lxor x;
+            let x = !c1 land y in
+            c1 := !c1 lxor y;
+            let y = !c2 land x in
+            c2 := !c2 lxor x;
+            c3 := !c3 lxor y
+          done;
+          (* ... then ripple-add the partial count into the class planes *)
+          let carry = ref 0 and p = ref 0 in
+          while !p < 4 || !carry <> 0 do
+            let a = planes.(base + !p) in
+            let b = match !p with 0 -> !c0 | 1 -> !c1 | 2 -> !c2 | 3 -> !c3 | _ -> 0 in
+            planes.(base + !p) <- a lxor b lxor !carry;
+            carry := (a land b) lor (!carry land (a lxor b));
+            incr p
+          done;
+          lo := hi
+        done)
+      members;
+    Array.mapi
+      (fun l stream ->
+        let e = ref 0.0 in
+        Array.iteri
+          (fun k w ->
+            let count = ref 0 in
+            for p = bits - 1 downto 0 do
+              count := (!count lsl 1) lor ((planes.((k * bits) + p) lsr l) land 1)
+            done;
+            e := !e +. (w *. Float.of_int !count))
+          weights;
+        !e +. Eda_util.Rng.gaussian_scaled stream ~mean:0.0 ~sigma:noise_sigma)
+      streams
 
 (** Static leakage-current proxy per gate (IDDQ model): each cell draws a
     nominal quiescent current depending on its input state; Trojans add

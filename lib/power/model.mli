@@ -59,14 +59,18 @@ val hamming_weight_sample :
   inputs:bool array ->
   float
 
-(** One trace per input-vector pair. *)
-val trace_batch :
-  Eda_util.Rng.t ->
-  ?delay_of:(int -> Netlist.Gate.kind -> float) ->
-  Netlist.Circuit.t ->
-  config:config ->
-  (bool array * bool array) list ->
-  float array list
+(** Bit-sliced {!hamming_weight_sample}: [hamming_weight_lanes circuit
+    ~noise_sigma streams inputs] samples one energy per lane, lane [l]
+    reading bit [l] of every input word and drawing its noise from
+    [streams.(l)]. Partial application to [circuit] and [noise_sigma]
+    precomputes the per-node energy classes; apply once per circuit and
+    reuse the sampler (it is safe to call from several domains). Lane
+    [l]'s energy is Σ_k w_k·n_k,l over the distinct switching energies
+    w_k, so it equals the scalar sample on lane [l]'s vector up to the
+    summation order (ulp level).
+    @raise Invalid_argument unless there are 1 to 63 streams. *)
+val hamming_weight_lanes :
+  Netlist.Circuit.t -> noise_sigma:float -> Eda_util.Rng.t array -> int array -> float array
 
 (** Quiescent-current (IDDQ) sample: per-cell leakage with input-state
     dependence and an environmental [temperature_factor]. [scratch] is a

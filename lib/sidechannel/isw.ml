@@ -12,11 +12,22 @@ module Circuit = Netlist.Circuit
 module Masking = Synth.Masking
 module Rng = Eda_util.Rng
 
+(* Split [value] into [shares] random XOR shares, handing share [s] to
+   [set s]: draw every share, then flip share 0 when the parity misses. *)
+let encode_with rng ~shares value set =
+  let b0 = Rng.bool rng in
+  let parity = ref b0 in
+  for s = 1 to shares - 1 do
+    let b = Rng.bool rng in
+    parity := !parity <> b;
+    set s b
+  done;
+  set 0 (b0 <> (!parity <> value))
+
 (** Split [value] into [shares] random XOR shares. *)
 let encode rng ~shares value =
-  let sh = Array.init shares (fun _ -> Rng.bool rng) in
-  let parity = Array.fold_left ( <> ) false sh in
-  if parity <> value then sh.(0) <- not sh.(0);
+  let sh = Array.make shares false in
+  encode_with rng ~shares value (fun s b -> sh.(s) <- b);
   sh
 
 let decode sh = Array.fold_left ( <> ) false sh
@@ -41,19 +52,30 @@ let stimulus c =
       Masking.group_shares
         (List.mapi (fun p (nm, _) -> nm, p) (Array.to_list (Circuit.outputs c))) }
 
-(** One input vector: per secret, [value name] and then its fresh
-    shares (an unshared secret takes the value directly); then fresh
-    randomness. *)
-let vector st rng ~value =
-  let vec = Array.make (Circuit.num_inputs st.circuit) false in
+(** Draw one stimulus through [set position bit]: per secret, [value
+    name] and then its fresh shares (an unshared secret takes the value
+    directly); then fresh randomness. *)
+let fill st rng ~value set =
   List.iter
     (fun (nm, ps) ->
       let v = value nm in
-      if Array.length ps = 1 then vec.(ps.(0)) <- v
-      else Array.iteri (fun s b -> vec.(ps.(s)) <- b) (encode rng ~shares:(Array.length ps) v))
+      if Array.length ps = 1 then set ps.(0) v
+      else encode_with rng ~shares:(Array.length ps) v (fun s b -> set ps.(s) b))
     st.secrets;
-  Array.iter (fun p -> vec.(p) <- Rng.bool rng) st.randoms;
+  Array.iter (fun p -> set p (Rng.bool rng)) st.randoms
+
+(** One input vector, drawn by {!fill}. *)
+let vector st rng ~value =
+  let vec = Array.make (Circuit.num_inputs st.circuit) false in
+  fill st rng ~value (fun p b -> vec.(p) <- b);
   vec
+
+(** Draw one stimulus, as {!vector} does, into bit [lane] of the input
+    words [words]. *)
+let fill_lane st rng ~value words lane =
+  let clear = lnot (1 lsl lane) in
+  fill st rng ~value (fun p b ->
+      words.(p) <- (words.(p) land clear) lor (Bool.to_int b lsl lane))
 
 let class_value rng cls _ = match cls with `Fixed -> true | `Random -> Rng.bool rng
 

@@ -33,6 +33,14 @@ val stimulus : Netlist.Circuit.t -> stimulus
     value directly); then fresh randomness for every randomness input. *)
 val vector : stimulus -> Eda_util.Rng.t -> value:(string -> bool) -> bool array
 
+(** [fill_lane st rng ~value words lane] draws what {!vector} draws, in
+    the same order from [rng], into bit [lane] of the input words
+    [words] (one word per input position; other bits are left as they
+    are). Filling lanes [0..n-1] from [n] streams yields the input of
+    one bit-parallel evaluation of [n] traces. *)
+val fill_lane :
+  stimulus -> Eda_util.Rng.t -> value:(string -> bool) -> int array -> int -> unit
+
 (** [class_value rng cls] is the TVLA secret of one trace: true in the
     fixed class, uniform from [rng] in the random class. *)
 val class_value : Eda_util.Rng.t -> [ `Fixed | `Random ] -> string -> bool

@@ -75,15 +75,8 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng c ~traces_per_class ~config =
     the timing-model question of Sec. III-E (a mask that arrives after the
     evaluation window is as good as no mask). *)
 let tvla_campaign_mask_failure rng c ~traces_per_class ~noise_sigma =
-  let st = Isw.stimulus c in
-  (* shared: without a pool the campaign runs its traces one at a time *)
-  let scratch = Array.make (Circuit.node_count c) false in
-  let collect stream cls =
-    let vec = Isw.vector st stream ~value:(Isw.class_value stream cls) in
-    Array.iter (fun p -> vec.(p) <- false) st.Isw.randoms;
-    [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
-  in
-  Tvla.campaign_seeded rng ~traces_per_class ~collect
+  Tvla.campaign_batched rng ~traces_per_class
+    ~collect_batch:(Secure_synth.hw_collect ~stuck_randomness:true c ~noise_sigma)
 
 (** Find the most leaking internal wire of a masked circuit: one campaign
     whose trace is the vector of node values, so each node gets its own

@@ -21,19 +21,29 @@
 module Circuit = Netlist.Circuit
 module Rng = Eda_util.Rng
 
+(** The batch collector of the Hamming-weight campaigns: lane [l] of a
+    batch draws its stimulus from [streams.(l)] exactly as {!Isw.vector}
+    would (then, with [stuck_randomness], the randomness inputs are
+    cleared), and one {!Power.Model.hamming_weight_lanes} call samples
+    the whole batch. Buffers are per call, so pooled batches share
+    nothing. *)
+let hw_collect ?(stuck_randomness = false) c ~noise_sigma =
+  let st = Isw.stimulus c in
+  let sample = Power.Model.hamming_weight_lanes c ~noise_sigma in
+  fun streams cls ->
+    let words = Array.make (Circuit.num_inputs c) 0 in
+    Array.iteri
+      (fun l stream -> Isw.fill_lane st stream ~value:(Isw.class_value stream cls) words l)
+      streams;
+    if stuck_randomness then Array.iter (fun p -> words.(p) <- 0) st.Isw.randoms;
+    Array.map (fun e -> [| e |]) (sample streams words)
+
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit.
     Fixed class: every secret input true; random class: uniform secrets.
     Masking randomness is fresh in both classes. Bit-identical at any
-    pool size (see {!Tvla.campaign_seeded}). *)
+    pool size (see {!Tvla.campaign_batched}). *)
 let assess ?pool rng c ~traces_per_class ~noise_sigma =
-  let st = Isw.stimulus c in
-  let nodes = Circuit.node_count c in
-  let collect stream cls =
-    let vec = Isw.vector st stream ~value:(Isw.class_value stream cls) in
-    let scratch = Array.make nodes false in
-    [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
-  in
-  Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect
+  Tvla.campaign_batched ?pool rng ~traces_per_class ~collect_batch:(hw_collect c ~noise_sigma)
 
 (** Convenience verdict: does the circuit leak under {!assess}? *)
 let leaks ?pool rng c ~traces_per_class ~noise_sigma =

@@ -5,6 +5,22 @@
     Registration is explicit ({!register}) because this lives above
     [lib/synth] in the dependency order. *)
 
+(** [hw_collect c ~noise_sigma] is the [collect_batch] of a
+    Hamming-weight campaign over [c] ({!Tvla.campaign_batched}): per
+    lane, the stimulus {!Isw.vector} would draw from that lane's stream
+    (fixed class: all secrets true; random class: uniform), evaluated
+    all lanes in one machine word by {!Power.Model.hamming_weight_lanes},
+    one single-sample trace per lane. With [stuck_randomness] every
+    masking-randomness input is cleared after the draw (a dead TRNG).
+    Each call allocates its own buffers. *)
+val hw_collect :
+  ?stuck_randomness:bool ->
+  Netlist.Circuit.t ->
+  noise_sigma:float ->
+  Eda_util.Rng.t array ->
+  [ `Fixed | `Random ] ->
+  float array array
+
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit,
     masked or not, driven through its net names ({!Isw.stimulus}):
     share groups are re-encoded from the secret per trace, gadget

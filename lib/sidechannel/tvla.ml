@@ -34,26 +34,27 @@ let leaks_second_order result = result.max_abs_t2 > threshold
    any domain count. *)
 let batch_pairs = 32
 
-(** Seeded, batchable fixed-vs-random campaign: [collect stream cls] must
-    produce one trace for class [cls] drawing randomness only from
-    [stream]. Pair [i] (one fixed then one random trace, interleaved as
-    TVLA prescribes) uses stream [i] of [Rng.split rng traces_per_class];
-    traces accumulate into per-sample moments (up to the fourth) per
-    fixed-size batch, and batches merge in index order. Both the trace
-    values and the floating-point reduction tree are therefore functions
-    of [rng] alone: the result is bit-identical with no pool, and with a
-    pool of any domain count. Streaming moments also mean memory stays
-    O(samples), not O(traces).
+(** Seeded fixed-vs-random campaign over batches of lanes:
+    [collect_batch streams cls] returns one trace per stream for class
+    [cls], lane [l] drawing randomness only from [streams.(l)]. Pair [i]
+    uses stream [i] of [Rng.split rng traces_per_class]; a batch of up to
+    [batch_pairs] consecutive pairs is collected as one [`Fixed] call and
+    then one [`Random] call over the same streams, so each stream draws
+    its fixed trace before its random one. Traces accumulate into
+    per-sample moments (up to the fourth) per batch, in lane order, and
+    batches merge in index order: trace values and reduction tree are
+    functions of [rng] alone, bit-identical with no pool and with a pool
+    of any domain count.
 
     Telemetry: a [tvla.campaign] span (attrs [seeded], [domains])
     counting [tvla.traces] and gauging the final [tvla.max_abs_t] and
     [tvla.max_abs_t_2nd]; pooled runs (any size, including 1) nest a
     [pool.batch] span with one captured [pool.task] span per batch.
-    @raise Invalid_argument on a non-positive trace count or unequal
-    trace lengths. *)
-let campaign_seeded ?pool rng ~traces_per_class ~collect =
+    @raise Invalid_argument on a non-positive trace count, a batch of
+    the wrong size, an empty trace or unequal trace lengths. *)
+let campaign_batched ?pool rng ~traces_per_class ~collect_batch =
   if traces_per_class <= 0 then
-    invalid_arg "Tvla.campaign_seeded: traces_per_class must be positive";
+    invalid_arg "Tvla.campaign: traces_per_class must be positive";
   let module P = Eda_util.Pool in
   let domains = match pool with Some p -> P.size p | None -> 1 in
   T.with_span "tvla.campaign"
@@ -66,21 +67,27 @@ let campaign_seeded ?pool rng ~traces_per_class ~collect =
   let nbatches = (traces_per_class + batch_pairs - 1) / batch_pairs in
   let run_batch b =
     let lo = b * batch_pairs in
-    let hi = min traces_per_class (lo + batch_pairs) in
-    let fixed_m = ref [||] and random_m = ref [||] in
-    let accumulate ms tr =
-      if Array.length !ms = 0 then
-        ms := Array.init (Array.length tr) (fun _ -> Stats.moments_create ());
-      if Array.length tr <> Array.length !ms then
-        invalid_arg "Tvla.campaign_seeded: traces must have equal length";
-      Array.iteri (fun k m -> Stats.moments_add m tr.(k)) !ms
+    let lanes = Array.sub streams lo (min batch_pairs (traces_per_class - lo)) in
+    let moments cls =
+      let traces = collect_batch lanes cls in
+      if Array.length traces <> Array.length lanes then
+        invalid_arg "Tvla.campaign: collect_batch must return one trace per stream";
+      let samples = Array.length traces.(0) in
+      if samples = 0 then invalid_arg "Tvla.campaign: traces must not be empty";
+      let ms = Array.init samples (fun _ -> Stats.moments_create ()) in
+      Array.iter
+        (fun tr ->
+          if Array.length tr <> samples then
+            invalid_arg "Tvla.campaign: traces must have equal length";
+          Array.iteri (fun k m -> Stats.moments_add m tr.(k)) ms)
+        traces;
+      ms
     in
-    for i = lo to hi - 1 do
-      let stream = streams.(i) in
-      accumulate fixed_m (collect stream `Fixed);
-      accumulate random_m (collect stream `Random)
-    done;
-    (!fixed_m, !random_m)
+    let fixed_m = moments `Fixed in
+    let random_m = moments `Random in
+    if Array.length random_m <> Array.length fixed_m then
+      invalid_arg "Tvla.campaign: traces must have equal length";
+    (fixed_m, random_m)
   in
   let batch_ids = Array.init nbatches (fun b -> b) in
   let batches =
@@ -101,12 +108,12 @@ let campaign_seeded ?pool rng ~traces_per_class ~collect =
          | None -> merged := Some (Array.copy fm, Array.copy rm)
          | Some (mf, mr) ->
            if Array.length fm <> Array.length mf then
-             invalid_arg "Tvla.campaign_seeded: traces must have equal length";
+             invalid_arg "Tvla.campaign: traces must have equal length";
            Array.iteri (fun k m -> mf.(k) <- Stats.moments_merge mf.(k) m) fm;
            Array.iteri (fun k m -> mr.(k) <- Stats.moments_merge mr.(k) m) rm))
     batches;
   match !merged with
-  | None -> invalid_arg "Tvla.campaign_seeded: no traces collected"
+  | None -> invalid_arg "Tvla.campaign: no traces collected"
   | Some (mf, mr) ->
     let samples = Array.length mf in
     let t_per_sample = Array.init samples (fun k -> Stats.welch_t_moments mf.(k) mr.(k)) in
@@ -128,3 +135,10 @@ let campaign_seeded ?pool rng ~traces_per_class ~collect =
     T.gauge "tvla.max_abs_t" result.max_abs_t;
     T.gauge "tvla.max_abs_t_2nd" result.max_abs_t2;
     result
+
+(** The one-trace-per-call form of {!campaign_batched}: [collect stream
+    cls] produces one trace, and must return a fresh array each call
+    (a batch holds its traces before accumulating them). *)
+let campaign_seeded ?pool rng ~traces_per_class ~collect =
+  campaign_batched ?pool rng ~traces_per_class ~collect_batch:(fun streams cls ->
+      Array.map (fun s -> collect s cls) streams)

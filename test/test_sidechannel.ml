@@ -81,6 +81,49 @@ let test_tvla_detects_mean_shift () =
   Alcotest.(check bool) "leak found" true (Tvla.leaks r);
   Alcotest.(check (list int)) "sample 0 flagged" [ 0 ] r.Tvla.leaky_samples
 
+let test_tvla_rejects_empty_traces () =
+  (* An empty trace has no sample that could cross the threshold: the
+     campaign must refuse it rather than report max |t| = 0. *)
+  let collect _ _ = [||] in
+  Alcotest.check_raises "empty trace"
+    (Invalid_argument "Tvla.campaign: traces must not be empty") (fun () ->
+      ignore (Tvla.campaign_seeded (Rng.create 8) ~traces_per_class:40 ~collect))
+
+let test_hw_collect_draws_scalar_streams () =
+  (* Lane l of the batch collector draws from stream l exactly what the
+     scalar path draws (Isw.vector, then one noise sample), fixed class
+     before random class, so energies agree to summation order. *)
+  let module SS = Sidechannel.Secure_synth in
+  let check name ?(stuck_randomness = false) c =
+    let st = Isw.stimulus c in
+    let lanes = 23 and noise_sigma = 0.8 in
+    let batch = Rng.split (Rng.create 61) lanes in
+    let scalar = Rng.split (Rng.create 61) lanes in
+    let collect = SS.hw_collect ~stuck_randomness c ~noise_sigma in
+    List.iter
+      (fun cls ->
+        let traces = collect batch cls in
+        Alcotest.(check int) (name ^ ": one trace per lane") lanes (Array.length traces);
+        Array.iteri
+          (fun l stream ->
+            let vec = Isw.vector st stream ~value:(Isw.class_value stream cls) in
+            if stuck_randomness then Array.iter (fun p -> vec.(p) <- false) st.Isw.randoms;
+            let e = Power.Model.hamming_weight_sample stream c ~noise_sigma ~inputs:vec in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: lane %d energy" name l)
+              true
+              (Float.abs (traces.(l).(0) -. e) <= 1e-9 *. Float.abs e))
+          scalar)
+      [ `Fixed; `Random ]
+  in
+  let c17 = Netlist.Generators.c17 () in
+  let isw = (Synth.Masking.transform ~shares:2 c17).Synth.Masking.circuit in
+  let dom = (Synth.Masking.transform ~shares:3 ~style:Synth.Masking.Dom c17).Synth.Masking.circuit in
+  check "unmasked c17" c17;
+  check "ISW c17" isw;
+  check "DOM c17" dom;
+  check "ISW c17, stuck randomness" ~stuck_randomness:true isw
+
 let test_tvla_escalation_monotone_overall () =
   let collect stream = function
     | `Fixed -> [| Rng.gaussian stream +. 0.3 |]
@@ -279,7 +322,10 @@ let () =
       ("tvla",
        [ Alcotest.test_case "no false positive" `Quick test_tvla_no_leak_on_identical;
          Alcotest.test_case "detects shift" `Quick test_tvla_detects_mean_shift;
-         Alcotest.test_case "escalation" `Quick test_tvla_escalation_monotone_overall ]);
+         Alcotest.test_case "escalation" `Quick test_tvla_escalation_monotone_overall;
+         Alcotest.test_case "rejects empty traces" `Quick test_tvla_rejects_empty_traces;
+         Alcotest.test_case "HW batch collect vs scalar" `Quick
+           test_hw_collect_draws_scalar_streams ]);
       ("fig2",
        [ Alcotest.test_case "aware passes, unaware leaks" `Slow test_fig2_unaware_leaks_aware_passes;
          Alcotest.test_case "variants functionally equal" `Quick test_fig2_variants_functionally_equal;
